@@ -2,10 +2,10 @@
 
 Degradation (post-processing one channel into another) is a linear
 feasibility question and comes with an explicit kernel.  The less-noisy order
-is weaker; between invertible square channels it reduces to q exact PSD
-checks, and failures come with a witness that materializes into a concrete
-pair of inputs whose output chi-squared divergences flip the required
-inequality.
+is weaker; from an invertible square channel W to any channel V it reduces
+to q exact PSD checks on A = W^{-1} V, and failures come with a witness that
+materializes into a concrete pair of inputs whose output chi-squared
+divergences flip the required inequality.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from channel_order import (
     extremal_degraded_tau,
     is_degraded,
     less_noisy_exact,
-    less_noisy_sampled,
     ln_gamma_bound,
     symmetric_channel,
 )
@@ -40,14 +39,15 @@ print(f"less noisy at gamma? {exact.status.value} ({exact.certificate['descripti
 failing = less_noisy_exact(w, symmetric_channel(q, 0.1))
 print(f"\nless noisy than a cleaner channel? {failing.status.value}")
 print(
-    "witness: vertex", failing.witness.vertex, "eigenvalue", f"{failing.witness.eigenvalue:.4f}"
+    "witness: input pmf", np.round(failing.witness.pmf, 6),
+    "eigenvalue", f"{failing.witness.eigenvalue:.4f}",
 )
 p, qq, gap = chi2_violation_pair(w, symmetric_channel(q, 0.1), failing.witness)
 print("input pair with flipped output chi-squared divergences:")
 print("  p =", np.round(p, 6), " q =", np.round(qq, 6), " gap =", f"{gap:.6f}")
 
-print("\nno symmetric channel dominates an erasure channel:")
-refuted = less_noisy_sampled(w, erasure_channel(q, 0.3), samples=10, seed=0)
+print("\nno symmetric channel dominates an erasure channel (V need not be square):")
+refuted = less_noisy_exact(w, erasure_channel(q, 0.3))
 witness = refuted.witness
 print(
     f"  {refuted.status.value}: D(pV||qV) = {witness.rhs} while D(pW||qW) = {witness.lhs:.6f}"

@@ -20,7 +20,7 @@ from channel_order import (
 
 delta, grid_n = 0.2, 24
 buffer = io.StringIO()
-points = region_sample(3, delta, grid_n, out=buffer, seed=0)
+points = region_sample(3, delta, grid_n, out=buffer)
 print(f"grid {grid_n}: {len(points)} points, strata sizes:")
 for label, count in region_label_counts(points).items():
     print(f"  {label:<11} {count}")

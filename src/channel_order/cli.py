@@ -5,8 +5,8 @@ dirichlet-check, group-validate.  Verdicts are printed as JSON (floats rounded
 to 9 significant digits, then rendered with Python's shortest-roundtrip repr;
 infinities appear as the string "inf"), bulk region data as CSV.  Exit codes:
 0 dominates / holds / valid, 1 fails / violated / invalid, 2 input or
-parameter error, 3 undetermined (sampled evidence only).  Runs with identical
-arguments produce byte-identical output.
+parameter error, 3 undetermined (sampled evidence only, when W is singular or
+not square).  Runs with identical arguments produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -67,16 +67,12 @@ def _load_pmf(path: str) -> channels.Pmf:
 
 def _witness_payload(witness) -> dict:
     if isinstance(witness, preorders.LoewnerWitness):
-        payload = {
+        return {
             "kind": "loewner",
             "eigenvalue": witness.eigenvalue,
             "direction": witness.direction,
+            "pmf": witness.pmf,
         }
-        if witness.vertex is not None:
-            payload["vertex"] = witness.vertex
-        if witness.pmf is not None:
-            payload["pmf"] = witness.pmf
-        return payload
     if isinstance(witness, preorders.DivergencePairWitness):
         return {
             "kind": "divergence_pair",
@@ -124,17 +120,15 @@ def _cmd_check_degraded(args) -> int:
 
 def _cmd_check_less_noisy(args) -> int:
     w, v = _load_channel(args.w), _load_channel(args.v)
-    if w.rows == w.cols and v.rows == v.cols:
-        try:
-            return _verdict_exit(preorders.less_noisy_exact(w, v))
-        except preorders.SingularChannelError:
-            pass
-    verdict = preorders.less_noisy_sampled(w, v, samples=args.samples, seed=args.seed)
+    try:
+        verdict = preorders.less_noisy_exact(w, v)
+    except preorders.SingularChannelError:
+        verdict = preorders.less_noisy_sampled(w, v, samples=args.samples, seed=args.seed)
     return _verdict_exit(verdict)
 
 
 def _cmd_delta_star(args) -> int:
-    result = symdom.delta_star(_load_channel(args.v), tol=args.tol, seed=args.seed)
+    result = symdom.delta_star(_load_channel(args.v), tol=args.tol)
     _emit(
         {
             "lower": result.lower,
@@ -154,7 +148,7 @@ def _cmd_region(args) -> int:
         workers = int(env) if env else (os.cpu_count() or 1)
     with open(args.out, "w") as handle:
         points = symdom.region_sample(
-            args.q, args.delta, args.grid, out=handle, seed=args.seed, workers=workers
+            args.q, args.delta, args.grid, out=handle, workers=workers
         )
     counts = symdom.region_label_counts(points)
     _emit({"points": len(points), "counts": counts, "out": args.out})
@@ -224,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta-star", help="largest symmetric parameter dominating V")
     p.add_argument("--v", required=True)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_delta_star)
 
     p = sub.add_parser("region", help="classify the ternary noise simplex")
@@ -232,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_region)
 

@@ -3,26 +3,31 @@
 Every test returns a DominationVerdict: Dominates with a checkable
 certificate, Fails with a concrete witness, or Undetermined when only sampled
 evidence is available.  Degradation and group majorization reduce to linear
-feasibility problems; the less-noisy order between invertible square channels
-reduces to q positive-semidefiniteness checks (one per simplex vertex), which
-is exact:
+feasibility problems.  The less-noisy order from a square invertible W to any
+channel V on the same input alphabet reduces to q positive-semidefiniteness
+checks on the single matrix A = W^{-1} V, one per simplex vertex:
 
     W is less noisy than V
-        iff  W diag(p W)^{-1} W^T  >=  V diag(p V)^{-1} V^T   (PSD order)
+        iff  W D_{pW}^{-1} W^T  >=  V D_{pV}^{-1} V^T   (PSD order)
              for every strictly positive input pmf p
-        iff  V^{-T} diag(p V) V^{-1} - W^{-T} diag(p W) W^{-1}  >=  0
-             for every vertex p of the simplex,
+        iff  D_{pW}^{-1}  >=  A D_{pV}^{-1} A^T        (congruence by W^{-1})
+        iff  D_{pV} - A^T D_{pW} A  >=  0               (two Schur complements)
+        iff  diag(V[x]) - A^T diag(W[x]) A  >=  0      for every input letter x,
 
-where the second step inverts both positive-definite forms and uses that the
-inverted difference is linear in p, so checking the simplex vertices suffices.
-Both matrices must be invertible for the reduction; singular inputs route to
-the sampled test, which can refute but never certify.
+where D_u = diag(u) and the last step uses that D_{pV} - A^T D_{pW} A is
+linear in p, so checking the simplex vertices suffices.  The rows of A sum
+to one, so the all-ones vector lies in the kernel of every vertex matrix and
+the checks are made on its orthogonal complement.  V is never inverted: it
+may be singular or non-square.  A singular or non-square W raises
+SingularChannelError; the sampled test covers that case and can refute but
+never certify.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -39,7 +44,11 @@ INTERIOR_MIX = 1e-6
 
 
 class SingularChannelError(ValueError):
-    """Raised by the exact less-noisy test on singular inputs; use the sampled test."""
+    """Raised by the exact less-noisy test when W is singular or not square.
+
+    V may be any channel on W's input alphabet; only W is inverted.  Use the
+    sampled test for such a W.
+    """
 
 
 class Status(enum.Enum):
@@ -52,9 +61,10 @@ class Status(enum.Enum):
 class LoewnerWitness:
     """A direction along which the defining PSD comparison fails.
 
-    ``vertex`` indexes the simplex vertex (exact test); ``pmf`` holds the
-    sampled interior input (sampled test).  ``direction`` is the offending
-    eigendirection with eigenvalue ``eigenvalue`` < 0.
+    At the strictly positive input pmf ``pmf``, ``direction`` is an
+    eigenvector of W D_{pW}^{-1} W^T - V D_{pV}^{-1} V^T with eigenvalue
+    ``eigenvalue`` < 0.  Both the exact and the sampled test report this
+    form; ``vertex`` is always None and is kept for readers of the field.
     """
 
     eigenvalue: float
@@ -337,21 +347,69 @@ def is_singular_channel_matrix(m: np.ndarray, tol: float = DET_TOL) -> bool:
     return bool(sv[-1] <= tol * max(1.0, float(np.linalg.norm(m, axis=1).max())))
 
 
-def _require_invertible(m: np.ndarray, name: str) -> np.ndarray:
-    if is_singular_channel_matrix(m):
-        raise SingularChannelError(
-            f"{name} is singular within tolerance; use less_noisy_sampled instead"
-        )
-    return np.linalg.inv(m)
+@lru_cache(maxsize=None)
+def _ones_complement(s: int) -> np.ndarray:
+    """Orthonormal basis (s x (s-1)) of the complement of the all-ones vector."""
+    basis, _ = np.linalg.qr(np.hstack([np.ones((s, 1)), np.eye(s)[:, : s - 1]]))
+    basis = basis[:, 1:]
+    basis.flags.writeable = False
+    return basis
+
+
+def _loewner(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """M D_{pM}^{-1} M^T, the chi-squared form of channel M at input pmf p."""
+    return (m / (p @ m)) @ m.T
+
+
+def _support_witness(wm: np.ndarray, vm: np.ndarray) -> Optional[DivergencePairWitness]:
+    """The input pair (uniform, e_x) when W[x] has full support and V[x] does not.
+
+    Its KL divergence is finite under W and infinite under V.  Such a row
+    always fails its vertex check, and the pair is a plainer refutation than
+    a Loewner direction.
+    """
+    rows = np.flatnonzero((wm > 0).all(axis=1) & (vm == 0).any(axis=1))
+    if rows.size == 0:
+        return None
+    n = wm.shape[0]
+    return _divergence_pair_violation(
+        wm, vm, uniform_pmf(n).probs, point_mass(n, int(rows[0])).probs, tol=1e-11
+    )
+
+
+def _interior_witness(
+    wm: np.ndarray, vm: np.ndarray, a: np.ndarray, x: int, u: np.ndarray, lam: float
+) -> LoewnerWitness:
+    """Move a failed vertex check into the simplex and return the Loewner witness there.
+
+    With M(p) = D_{pV} - A^T D_{pW} A linear in p and u^T M(e_x) u = lam < 0,
+    mixing e_x with uniform no further than u^T M(p) u = lam / 2 keeps the
+    form negative at an interior p.  Then d = W^{-T} D_{pW} A u satisfies
+    d^T L d < 0 for L = W D_{pW}^{-1} W^T - V D_{pV}^{-1} V^T
+    (Cauchy-Schwarz), so L's smallest eigenpair is a refutation at p.
+    """
+    n = wm.shape[0]
+    uniform = np.full(n, 1.0 / n)
+    at_uniform = float(u @ (uniform @ vm * u) - (a @ u) @ (uniform @ wm * (a @ u)))
+    # u^T M(p) u = (1 - s) lam + s at_uniform <= lam / 2 with p = (1 - s) e_x + s uniform
+    s = 0.5 if at_uniform <= 0.0 else 0.5 * lam / (lam - at_uniform)
+    p = s * uniform
+    p[x] += 1.0 - s
+    diff = _loewner(wm, p) - _loewner(vm, p)
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (diff + diff.T))
+    return LoewnerWitness(eigenvalue=float(eigenvalues[0]), direction=eigenvectors[:, 0], pmf=p)
 
 
 def less_noisy_exact(w, v, psd_tol: float = PSD_TOL) -> DominationVerdict:
-    """Exact less-noisy test for invertible square channels on one alphabet.
+    """Exact less-noisy test for a square invertible W and any V on its input alphabet.
 
-    Checks, at each simplex vertex x, that
-    V^{-T} diag(V[x]) V^{-1} - W^{-T} diag(W[x]) W^{-1} is PSD; W is less
-    noisy than V iff all q checks pass.  Fails verdicts carry the offending
-    vertex and eigendirection.
+    With A = W^{-1} V, checks at each input letter x that
+    diag(V[x]) - A^T diag(W[x]) A is PSD on the complement of the all-ones
+    vector; W is less noisy than V iff all q checks pass.  The tolerance is
+    relative to these matrices, whose size is of order |A|^2.  Dominates
+    verdicts list the q smallest eigenvalues as margins.  Fails verdicts
+    carry an input pair with infinite divergence under V only, when one
+    exists, and otherwise a LoewnerWitness at an interior input pmf.
     """
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
@@ -362,16 +420,18 @@ def less_noisy_exact(w, v, psd_tol: float = PSD_TOL) -> DominationVerdict:
         return shortcut
     if wc.cols != wc.rows:
         raise SingularChannelError("W is not square; use less_noisy_sampled instead")
-    if vc.cols != vc.rows:
-        raise SingularChannelError("V is not square; use less_noisy_sampled instead")
-    wi = _require_invertible(wm, "W")
-    vi = _require_invertible(vm, "V")
+    if is_singular_channel_matrix(wm):
+        raise SingularChannelError("W is singular within tolerance; use less_noisy_sampled instead")
+    a = np.linalg.solve(wm, vm)
+    basis = _ones_complement(vc.cols)
+    ab = a @ basis
     minima = []
     for x in range(wc.rows):
-        diff = vi.T @ np.diag(vm[x]) @ vi - wi.T @ np.diag(wm[x]) @ wi
-        ok, lam, vec = psd_check(diff, psd_tol)
+        m_x = (basis.T * vm[x]) @ basis - (ab.T * wm[x]) @ ab
+        ok, lam, vec = psd_check(m_x, psd_tol)
         if not ok:
-            return _fails(witness=LoewnerWitness(eigenvalue=lam, direction=vec, vertex=x))
+            witness = _support_witness(wm, vm) or _interior_witness(wm, vm, a, x, basis @ vec, lam)
+            return _fails(witness=witness)
         minima.append(lam)
     return _dominates(
         certificate={
@@ -448,8 +508,7 @@ def less_noisy_sampled(
     for _ in range(samples):
         used += 1
         p = sample_interior_pmf(rng, q)
-        a = wm @ np.diag(1.0 / (p @ wm)) @ wm.T
-        b = vm @ np.diag(1.0 / (p @ vm)) @ vm.T
+        a, b = _loewner(wm, p), _loewner(vm, p)
         # range inclusion R(b) within R(a), via the orthogonal projector on R(a)
         eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (a + a.T))
         rank_mask = eigenvalues > 1e-12 * max(1.0, eigenvalues[-1])
@@ -497,10 +556,8 @@ def loewner_gap(w, v, p) -> float:
         raise ValueError("dimension mismatch")
     if np.any(pv <= 0):
         raise ValueError("input pmf must be strictly interior")
-    a = wc.matrix @ np.diag(1.0 / (pv @ wc.matrix)) @ wc.matrix.T
-    b = vc.matrix @ np.diag(1.0 / (pv @ vc.matrix)) @ vc.matrix.T
-    diff = 0.5 * ((a - b) + (a - b).T)
-    return float(np.linalg.eigvalsh(diff)[0])
+    diff = _loewner(wc.matrix, pv) - _loewner(vc.matrix, pv)
+    return float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
 
 
 def chi2_violation_pair(w, v, witness: LoewnerWitness) -> tuple[np.ndarray, np.ndarray, float]:
@@ -508,26 +565,21 @@ def chi2_violation_pair(w, v, witness: LoewnerWitness) -> tuple[np.ndarray, np.n
 
     Returns (p, q, gap) with gap = chi2(pW||qW) - chi2(pV||qV) < 0.  The pair
     is exact because chi-squared with a fixed second argument is a quadratic
-    form: starting from the witness vertex, mix toward uniform until the
+    form: starting from the witness pmf, mix toward uniform until the
     direct PSD comparison exhibits a negative direction g, then move from q
     along the sum-zero correction of g.
     """
     wm, vm = as_channel(w).matrix, as_channel(v).matrix
-    n = wm.shape[0]
-    if witness.vertex is not None:
-        base = point_mass(n, witness.vertex).probs
-    elif witness.pmf is not None:
-        base = witness.pmf
-    else:
-        raise ValueError("witness carries neither a vertex nor a pmf")
-    u = uniform_pmf(n).probs
+    if witness.pmf is None:
+        raise ValueError("witness carries no input pmf")
+    base = witness.pmf
+    u = uniform_pmf(wm.shape[0]).probs
     for s in (1e-9, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 1e-3, 1e-4):
         q_arr = (1.0 - s) * base + s * u
         if np.any(q_arr <= 0):
             continue
-        a = wm @ np.diag(1.0 / (q_arr @ wm)) @ wm.T
-        b = vm @ np.diag(1.0 / (q_arr @ vm)) @ vm.T
-        diff = 0.5 * ((a - b) + (a - b).T)
+        diff = _loewner(wm, q_arr) - _loewner(vm, q_arr)
+        diff = 0.5 * (diff + diff.T)
         eigenvalues, eigenvectors = np.linalg.eigh(diff)
         if eigenvalues[0] >= -1e-13 * max(1.0, np.abs(diff).max()):
             continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .channels import (
     Channel,
     Pmf,
+    additive_channel,
     as_channel,
     as_pmf,
     symmetric_channel,
@@ -34,10 +36,9 @@ from .preorders import (
     SingularChannelError,
     Status,
     convex_hull_membership,
-    is_degraded,
-    is_singular_channel_matrix,
+    is_degraded,  # not called here; bench/tracing.py wraps this name
     less_noisy_exact,
-    less_noisy_sampled,
+    less_noisy_sampled,  # not called here; bench/tracing.py wraps this name
     majorizes,
 )
 
@@ -114,13 +115,11 @@ class RegionPoint:
 
     noise: Pmf
     label: str
-    method: str  # "exact" | "sampled"
+    method: str = "exact"  # every stratum is decided exactly; kept as a CSV column
 
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"unknown label {self.label}")
-        if self.method not in ("exact", "sampled"):
-            raise ValueError(f"unknown method {self.method}")
 
 
 def lower_hull_member(q: int, delta: float, v, lp_tol: float = LP_TOL) -> bool:
@@ -141,22 +140,14 @@ def lower_hull_member(q: int, delta: float, v, lp_tol: float = LP_TOL) -> bool:
     return member
 
 
-def classify_noise_pmf(
-    q: int,
-    delta: float,
-    v,
-    sampled_budget: int = 500,
-    seed: int = 0,
-    norm_tol: float = 1e-12,
-) -> RegionPoint:
+def classify_noise_pmf(q: int, delta: float, v, norm_tol: float = 1e-12) -> RegionPoint:
     """Assign a noise pmf to the finest stratum of the nested region chain.
 
     Checked in order: DEGRADED (majorization by the symmetric noise pmf),
-    LOWER_HULL (membership in the two-orbit hull), LESS_NOISY (exact test on
-    the circulant; falls back to a sampled search when the circulant is
-    singular, in which case the distance-to-uniform necessary condition gates
-    the call and the method is recorded as "sampled"), CIRCLE_ONLY (inside
-    the ball around uniform), OUTSIDE.
+    LOWER_HULL (membership in the two-orbit hull), LESS_NOISY (exact vertex
+    test of W_delta against the circulant, which may be singular), then
+    CIRCLE_ONLY (inside the ball around uniform) and OUTSIDE.  The
+    less-noisy test runs only inside the ball, which is necessary for it.
     """
     if not 0.0 <= delta <= (q - 1) / q:
         raise ValueError(f"delta must lie in [0, (q-1)/q], got {delta}")
@@ -165,28 +156,18 @@ def classify_noise_pmf(
         raise ValueError(f"noise pmf length {len(noise)} does not match q = {q}")
     w_noise = symmetric_noise_pmf(q, delta).probs
     if majorizes(w_noise, noise.probs):
-        return RegionPoint(noise=noise, label="DEGRADED", method="exact")
+        return RegionPoint(noise=noise, label="DEGRADED")
     if lower_hull_member(q, delta, noise):
-        return RegionPoint(noise=noise, label="LOWER_HULL", method="exact")
+        return RegionPoint(noise=noise, label="LOWER_HULL")
     inside_circle = (
         float(np.linalg.norm(noise.probs - 1.0 / q)) <= circle_radius(q, delta) + norm_tol
     )
-    if inside_circle:
-        w = symmetric_channel(q, delta)
-        vc = Channel(circulant(cyclic_group(q), noise.probs))
-        try:
-            verdict = less_noisy_exact(w, vc)
-            if verdict.dominates:
-                return RegionPoint(noise=noise, label="LESS_NOISY", method="exact")
-            return RegionPoint(noise=noise, label="CIRCLE_ONLY", method="exact")
-        except SingularChannelError:
-            verdict = less_noisy_sampled(w, vc, samples=sampled_budget, seed=seed)
-            if verdict.status is Status.FAILS:
-                return RegionPoint(noise=noise, label="CIRCLE_ONLY", method="sampled")
-            # no refutation found within budget: report the finest stratum the
-            # necessary conditions allow, flagged as sampled
-            return RegionPoint(noise=noise, label="LESS_NOISY", method="sampled")
-    return RegionPoint(noise=noise, label="OUTSIDE", method="exact")
+    if not inside_circle:
+        return RegionPoint(noise=noise, label="OUTSIDE")
+    vc = Channel(circulant(cyclic_group(q), noise.probs))
+    if less_noisy_exact(symmetric_channel(q, delta), vc).dominates:
+        return RegionPoint(noise=noise, label="LESS_NOISY")
+    return RegionPoint(noise=noise, label="CIRCLE_ONLY")
 
 
 def region_grid(grid_n: int) -> Iterator[tuple[int, int, int]]:
@@ -196,54 +177,33 @@ def region_grid(grid_n: int) -> Iterator[tuple[int, int, int]]:
             yield i, j, grid_n - i - j
 
 
-def _classify_indexed(args) -> tuple[int, RegionPoint]:
-    index, q, delta, coords, seed, sampled_budget = args
-    point = classify_noise_pmf(
-        q, delta, Pmf(coords), sampled_budget=sampled_budget, seed=(seed, index)
-    )
-    return index, point
-
-
 def region_sample(
-    q: int,
-    delta: float,
-    grid_n: int,
-    out=None,
-    seed: int = 0,
-    sampled_budget: int = 200,
-    workers: int = 1,
+    q: int, delta: float, grid_n: int, out=None, workers: int = 1
 ) -> list[RegionPoint]:
     """Classify every barycentric grid point and optionally stream CSV to ``out``.
 
     Only the ternary emitter (q = 3) is supported; the classifier itself is
     general.  CSV columns: v0,v1,v2,label,method with floats printed to 9
-    significant digits.  Per-point work is seeded by (seed, point index) and
-    rows are emitted in grid order, so serial and parallel runs produce
-    byte-identical files.
+    significant digits.  Every point is decided exactly and rows are emitted
+    in grid order, so serial and parallel runs produce byte-identical files.
     """
     if q != 3:
         raise ValueError("the grid emitter supports q = 3 only")
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    grid = list(region_grid(grid_n))
-    tasks = [
-        (index, q, delta, np.array(ijk, dtype=float) / grid_n, seed, sampled_budget)
-        for index, ijk in enumerate(grid)
-    ]
+    coords = [np.array(ijk, dtype=float) / grid_n for ijk in region_grid(grid_n)]
+    classify = partial(classify_noise_pmf, q, delta)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            indexed = list(pool.map(_classify_indexed, tasks, chunksize=32))
-        indexed.sort(key=lambda pair: pair[0])
-        results = [point for _, point in indexed]
+            results = list(pool.map(classify, coords, chunksize=32))
     else:
-        results = [_classify_indexed(task)[1] for task in tasks]
+        results = [classify(c) for c in coords]
     if out is not None:
         out.write("v0,v1,v2,label,method\n")
-        for task, point in zip(tasks, results):
-            coords = ",".join(format(c, ".9g") for c in task[3])
-            out.write(f"{coords},{point.label},{point.method}\n")
+        for c, point in zip(coords, results):
+            out.write(",".join(format(x, ".9g") for x in c) + f",{point.label},{point.method}\n")
     return results
 
 
@@ -267,19 +227,20 @@ class DeltaStarResult:
     upper: float
     iterations: int
     bracket_width: float
-    method: str = "exact"  # "sampled" when V is singular and Dominates cannot be certified
+    method: str = "exact"  # every probe is the exact vertex test; kept as a JSON key
     probes: tuple = field(default=(), repr=False)  # (delta, status value) pairs
 
 
-def delta_star(v, tol: float = 1e-4, samples: int = 400, seed: int = 0) -> DeltaStarResult:
+def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
     """Bracket delta*(V) = sup{delta : W_delta less noisy than V} by bisection.
 
     Monotonicity holds because smaller-parameter symmetric channels degrade to
     larger-parameter ones and the less-noisy order is transitive, so the
     feasible set is an interval [0, delta*].  The bracket starts at the
     minimum-entry degradation threshold (feasible) and (q-1)/q (the boundary);
-    each probe uses the exact test when V is invertible, otherwise a
-    degradation check (which can certify) plus a sampled refutation search.
+    each probe is the exact test, which needs W_delta invertible (delta below
+    the boundary) but not V.  A probe so close to the boundary that W_delta
+    counts as singular ends the bisection.
     """
     vc = as_channel(v)
     if vc.rows != vc.cols:
@@ -289,24 +250,14 @@ def delta_star(v, tol: float = 1e-4, samples: int = 400, seed: int = 0) -> Delta
         raise ValueError("tolerance must be positive")
     boundary = (q - 1) / q
     if np.abs(vc.matrix - vc.matrix[0]).max() <= 1e-12:
-        return DeltaStarResult(
-            lower=boundary, upper=boundary, iterations=0, bracket_width=0.0, method="exact"
-        )
-    exact_ok = not is_singular_channel_matrix(vc.matrix)
+        return DeltaStarResult(lower=boundary, upper=boundary, iterations=0, bracket_width=0.0)
     probes = []
 
     def probe(delta: float) -> Status:
-        w = symmetric_channel(q, delta)
-        if exact_ok:
-            try:
-                status = less_noisy_exact(w, vc).status
-            except SingularChannelError:
-                status = Status.UNDETERMINED
-        else:
-            if is_degraded(w, vc).dominates:
-                status = Status.DOMINATES
-            else:
-                status = less_noisy_sampled(w, vc, samples=samples, seed=seed).status
+        try:
+            status = less_noisy_exact(symmetric_channel(q, delta), vc).status
+        except SingularChannelError:
+            status = Status.UNDETERMINED
         probes.append((delta, status.value))
         return status
 
@@ -324,13 +275,12 @@ def delta_star(v, tol: float = 1e-4, samples: int = 400, seed: int = 0) -> Delta
         elif status is Status.FAILS:
             upper = mid
         else:
-            break  # sampled probe could not refute; stop rather than guess
+            break  # W_mid counts as singular this close to the boundary
     return DeltaStarResult(
         lower=lower,
         upper=upper,
         iterations=iterations,
         bracket_width=upper - lower,
-        method="exact" if exact_ok else "sampled",
         probes=tuple(probes),
     )
 
@@ -461,8 +411,6 @@ def necessary_screen(w, v) -> NecessaryScreenReport:
         status="pass" if hv >= hw - 1e-12 else "fail",
         detail={"w_entropy": hw, "v_entropy": hv},
     )
-    from .channels import additive_channel
-
     wc, vc = additive_channel(group, wp), additive_channel(group, vp)
     w_lo, w_hi = maximal_correlation(u, wc) ** 2, eta_tv(wc)
     v_lo, v_hi = maximal_correlation(u, vc) ** 2, eta_tv(vc)

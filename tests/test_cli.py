@@ -103,7 +103,7 @@ def test_check_less_noisy_erasure_witness(capsys, tmp_path, w02):
 
 def test_check_less_noisy_sampled_undetermined(capsys, tmp_path):
     # genuinely singular V (circulant with a vanishing character) that is in
-    # fact dominated, so no violation search can refute it
+    # fact dominated: the exact test certifies it, since only W is inverted
     from channel_order.groups import circulant
 
     m = circulant(cyclic_group(4), np.array([0.35, 0.15, 0.35, 0.15]))
@@ -113,6 +113,12 @@ def test_check_less_noisy_sampled_undetermined(capsys, tmp_path):
     w = write_channel(tmp_path / "w.csv", symmetric_channel(4, 0.05))
     code, out, _ = run(
         capsys, ["check-less-noisy", "--w", w, "--v", str(sing), "--samples", "40"]
+    )
+    assert code == 0
+    assert json.loads(out)["certificate"]["kind"] == "vertex_psd"
+    # a singular W leaves only the sampled search, which cannot certify
+    code, out, _ = run(
+        capsys, ["check-less-noisy", "--w", str(sing), "--v", str(sing), "--samples", "40"]
     )
     assert code == 3
     assert json.loads(out)["status"] == "undetermined"

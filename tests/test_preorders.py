@@ -295,16 +295,27 @@ def test_less_noisy_exact_gamma_bound():
 
 
 def test_less_noisy_exact_fails_toward_identity():
-    verdict = less_noisy_exact(symmetric_channel(3, 0.2), symmetric_channel(3, 0.1))
+    w, v = symmetric_channel(3, 0.2), symmetric_channel(3, 0.1)
+    verdict = less_noisy_exact(w, v)
     assert verdict.status is Status.FAILS
-    assert isinstance(verdict.witness, LoewnerWitness)
-    assert verdict.witness.vertex in range(3)
-    assert verdict.witness.eigenvalue < 0
+    witness = verdict.witness
+    assert isinstance(witness, LoewnerWitness)
+    assert witness.vertex is None
+    assert np.all(witness.pmf > 0) and witness.pmf.sum() == pytest.approx(1.0)
+    assert witness.eigenvalue < 0
+    assert loewner_gap(w, v, witness.pmf) == pytest.approx(witness.eigenvalue)
 
 
 def test_less_noisy_exact_singular_input():
+    singular = Channel([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 1]])
     with pytest.raises(SingularChannelError):
-        less_noisy_exact(symmetric_channel(3, 0.2), Channel([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 1]]))
+        less_noisy_exact(singular, symmetric_channel(3, 0.2))
+    with pytest.raises(SingularChannelError):
+        less_noisy_exact(erasure_channel(3, 0.3), symmetric_channel(3, 0.2))
+    # only W is inverted: a singular V gets an exact verdict either way
+    w = symmetric_channel(3, 0.2)
+    assert less_noisy_exact(w, Channel(w.matrix @ singular.matrix)).dominates
+    assert less_noisy_exact(w, singular).status is Status.FAILS
 
 
 def test_less_noisy_exact_desk_scale_alphabet():

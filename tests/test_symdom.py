@@ -18,6 +18,8 @@ from channel_order.preorders import (
     Status,
     is_degraded,
     is_degraded_additive,
+    less_noisy_exact,
+    loewner_gap,
     majorizes,
 )
 from channel_order.symdom import (
@@ -169,16 +171,18 @@ def test_classify_outside_and_circle_only():
     assert classify_noise_pmf(3, 0.5, Pmf([1.0, 0.0, 0.0])).label == "OUTSIDE"
 
 
-def test_classify_singular_circulant_falls_back_to_sampled():
-    # a pmf of the form (a, b, a, b) has a vanishing character for q = 4, so
-    # its circulant is singular; this one sits between the hull and the ball
-    v = Pmf([0.37, 0.13, 0.37, 0.13])
-    m = circulant(cyclic_group(4), v.probs)
-    assert abs(np.linalg.det(m)) < 1e-12
-    assert not lower_hull_member(4, 0.4, v)
-    point = classify_noise_pmf(4, 0.4, v, sampled_budget=100, seed=0)
-    assert point.method == "sampled"
-    assert point.label in ("LESS_NOISY", "CIRCLE_ONLY")
+def test_classify_singular_circulant_is_exact():
+    # pmfs of the form (a, b, a, b) or (a, a, b, b) have a vanishing character
+    # for q = 4, so their circulants are singular; these sit between the hull
+    # and the ball, with smallest vertex margins -0.0145 and -4.3e-3
+    for probs, delta in (([0.37, 0.13, 0.37, 0.13], 0.4), ([0.06, 0.06, 0.44, 0.44], 0.23)):
+        v = Pmf(probs)
+        m = circulant(cyclic_group(4), v.probs)
+        assert abs(np.linalg.det(m)) < 1e-12
+        assert not lower_hull_member(4, delta, v)
+        point = classify_noise_pmf(4, delta, v)
+        assert point.method == "exact"
+        assert point.label == "CIRCLE_ONLY"
 
 
 def test_region_grid_size():
@@ -200,8 +204,8 @@ def test_region_uniform_channel_dominates_only_uniform():
 
 def test_region_csv_format_and_determinism():
     out1, out2 = io.StringIO(), io.StringIO()
-    region_sample(3, 0.2, grid_n=4, out=out1, seed=5)
-    region_sample(3, 0.2, grid_n=4, out=out2, seed=5)
+    region_sample(3, 0.2, grid_n=4, out=out1)
+    region_sample(3, 0.2, grid_n=4, out=out2)
     assert out1.getvalue() == out2.getvalue()
     lines = out1.getvalue().strip().splitlines()
     assert lines[0] == "v0,v1,v2,label,method"
@@ -259,16 +263,40 @@ def test_delta_star_monotone_probes():
             assert delta >= result.upper - 1e-15
 
 
-def test_delta_star_singular_channel_lower_bound_only():
+def test_delta_star_singular_channel_is_exact():
     # the circulant of (a, b, a, b) is doubly stochastic, non-constant, singular
     m = circulant(cyclic_group(4), np.array([0.35, 0.15, 0.35, 0.15]))
     v = Channel(m)
     assert abs(np.linalg.det(m)) < 1e-12
-    result = delta_star(v, tol=1e-3, samples=150, seed=0)
-    assert result.method == "sampled"
-    assert result.lower > 0.0
-    # the lower bound must be certified by a degradation kernel
-    assert is_degraded(symmetric_channel(4, result.lower), v).dominates
+    result = delta_star(v, tol=1e-3)
+    assert result.method == "exact"
+    assert 0.0 < result.lower and result.bracket_width <= 1e-3
+    assert less_noisy_exact(symmetric_channel(4, result.lower), v).dominates
+    assert less_noisy_exact(symmetric_channel(4, result.upper), v).status is Status.FAILS
+
+
+@pytest.mark.parametrize(
+    "eps, star", [(1e-6, 0.0162601), (1e-5, 0.0162602), (1e-4, 0.0162613)]
+)
+def test_near_singular_channel(eps, star):
+    # V's third row sits eps off the midpoint of the first two, so sigma_min(V)
+    # is of order eps; the vertex margin on A = W^{-1} V at W_0.3 is -0.83
+    # whatever eps is, and ``star`` is delta* to 1e-7
+    r0, r1 = np.array([0.98, 0.01, 0.01]), np.array([0.01, 0.98, 0.01])
+    v = Channel(np.vstack([r0, r1, 0.5 * (r0 + r1) + eps * np.array([-1.0, -1.0, 2.0])]))
+    w = symmetric_channel(3, 0.3)
+    verdict = less_noisy_exact(w, v)
+    assert verdict.status is Status.FAILS
+    assert loewner_gap(w, v, verdict.witness.pmf) < 0
+    result = delta_star(v, tol=1e-4)
+    assert result.lower <= star <= result.upper
+
+
+def test_delta_star_large_alphabet_random_channel():
+    # sigma_min(V) = 3.9e-4 and delta* = 6.036e-5
+    v = Channel(np.random.default_rng(5).dirichlet(np.ones(64), size=64))
+    result = delta_star(v, tol=1e-4)
+    assert result.lower <= 6.036e-5 <= result.upper
 
 
 # --- domination factor ---------------------------------------------------------
