@@ -80,6 +80,7 @@ from .symdom import (
     additive_degradation_delta,
     circle_radius,
     classify_noise_pmf,
+    classify_noise_pmfs,
     delta_star,
     domination_factor_estimate,
     extremal_degraded_tau,

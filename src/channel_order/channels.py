@@ -34,7 +34,7 @@ class Pmf:
         p = np.asarray(probs, dtype=float).reshape(-1).copy()
         if p.size == 0:
             raise ValueError("pmf must have at least one entry")
-        if np.any(p < 0):
+        if (p < 0).any():  # the array method skips np.any's dispatch overhead
             raise ValueError(f"pmf has negative entries: {p}")
         total = p.sum()
         if abs(total - 1.0) > RENORM_TOL:

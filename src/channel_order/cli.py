@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -142,14 +141,8 @@ def _cmd_delta_star(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("CHANNEL_ORDER_THREADS")
-        workers = int(env) if env else (os.cpu_count() or 1)
     with open(args.out, "w") as handle:
-        points = symdom.region_sample(
-            args.q, args.delta, args.grid, out=handle, workers=workers
-        )
+        points = symdom.region_sample(args.q, args.delta, args.grid, out=handle)
     counts = symdom.region_label_counts(points)
     _emit({"points": len(points), "counts": counts, "out": args.out})
     return EXIT_DOMINATES
@@ -225,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("constants", help="closed-form constants of a symmetric channel")

@@ -205,9 +205,14 @@ def majorizes(x, y, tol: float = 1e-12) -> bool:
         raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
     if abs(xv.sum() - yv.sum()) > 1e-9:
         raise ValueError(f"sums differ: {xv.sum()} vs {yv.sum()}")
-    xs = np.cumsum(np.sort(xv))
-    ys = np.cumsum(np.sort(yv))
-    return bool(np.all(xs[:-1] <= ys[:-1] + tol))
+    return bool(majorized_rows(xv, yv[None, :], tol)[0])
+
+
+def majorized_rows(x: np.ndarray, ys: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """``majorizes(x, y)`` for every row y of ``ys``, without the input checks."""
+    xs = np.cumsum(np.sort(x))
+    partial = np.cumsum(np.sort(ys, axis=1), axis=1)
+    return np.all(xs[:-1] <= partial[:, :-1] + tol, axis=1)
 
 
 def group_majorizes(group: FiniteAbelianGroup, x, y, lp_tol: float = LP_TOL) -> DominationVerdict:
@@ -284,13 +289,39 @@ def psd_check(m, tol: float = PSD_TOL) -> tuple[bool, float, np.ndarray]:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if np.abs(a - a.T).max() > 1e-10 * max(1.0, np.abs(a).max()):
+    ok, lam, vec = _psd_stack(a, tol)
+    return bool(ok), float(lam), vec
+
+
+def _psd_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``psd_check`` over the last two axes of a stack of square matrices."""
+    mt = np.swapaxes(m, -2, -1)
+    sym = 0.5 * (m + mt)
+    scale = np.maximum(1.0, np.abs(sym).max(axis=(-2, -1)))
+    if (np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * scale).any():
         raise ValueError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    lam = float(eigenvalues[0])
-    vec = eigenvectors[:, 0]
-    return lam >= -tol * max(1.0, float(np.abs(a).max())), lam, vec
+    eigenvalues, eigenvectors = np.linalg.eigh(sym)
+    lam = eigenvalues[..., 0]
+    return lam >= -tol * scale, lam, eigenvectors[..., 0]
+
+
+def _vertex_checks(wm: np.ndarray, vms: np.ndarray, a: np.ndarray, psd_tol: float = PSD_TOL):
+    """The less-noisy vertex checks of W against a stack of channels V, one input letter at a time.
+
+    ``vms`` holds n channels V (n, q, s) and ``a`` the matching A = W^{-1} V.
+    For x = 0, 1, ... tests diag(V[x]) - A^T diag(W[x]) A for PSD on the
+    complement of the all-ones vector, with psd_check's symmetry check and
+    relative tolerance, and yields (x, passes, smallest eigenvalue, its
+    eigenvector in the coordinates of ``_ones_complement(s)``), the last three
+    with one entry per V.  A caller may stop at the first failure.
+    """
+    basis = _ones_complement(vms.shape[-1])
+    ab = a @ basis
+    abt = np.swapaxes(ab, -2, -1)
+    for x in range(wm.shape[0]):
+        m = (basis.T * vms[:, x, None, :]) @ basis - (abt * wm[x]) @ ab
+        ok, lam, vec = _psd_stack(m, psd_tol)
+        yield x, ok, lam, vec
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +431,13 @@ def _interior_witness(
     return LoewnerWitness(eigenvalue=float(eigenvalues[0]), direction=eigenvectors[:, 0], pmf=p)
 
 
+def _require_invertible(wm: np.ndarray) -> None:
+    if wm.shape[1] != wm.shape[0]:
+        raise SingularChannelError("W is not square; use less_noisy_sampled instead")
+    if is_singular_channel_matrix(wm):
+        raise SingularChannelError("W is singular within tolerance; use less_noisy_sampled instead")
+
+
 def less_noisy_exact(w, v, psd_tol: float = PSD_TOL) -> DominationVerdict:
     """Exact less-noisy test for a square invertible W and any V on its input alphabet.
 
@@ -418,19 +456,14 @@ def less_noisy_exact(w, v, psd_tol: float = PSD_TOL) -> DominationVerdict:
     shortcut = _shortcut(wm, vm)
     if shortcut is not None:
         return shortcut
-    if wc.cols != wc.rows:
-        raise SingularChannelError("W is not square; use less_noisy_sampled instead")
-    if is_singular_channel_matrix(wm):
-        raise SingularChannelError("W is singular within tolerance; use less_noisy_sampled instead")
+    _require_invertible(wm)
     a = np.linalg.solve(wm, vm)
-    basis = _ones_complement(vc.cols)
-    ab = a @ basis
     minima = []
-    for x in range(wc.rows):
-        m_x = (basis.T * vm[x]) @ basis - (ab.T * wm[x]) @ ab
-        ok, lam, vec = psd_check(m_x, psd_tol)
-        if not ok:
-            witness = _support_witness(wm, vm) or _interior_witness(wm, vm, a, x, basis @ vec, lam)
+    for x, ok, lam, vec in _vertex_checks(wm, vm[None], a[None], psd_tol):
+        lam = float(lam[0])
+        if not ok[0]:
+            u = _ones_complement(vc.cols) @ vec[0]
+            witness = _support_witness(wm, vm) or _interior_witness(wm, vm, a, x, u, lam)
             return _fails(witness=witness)
         minima.append(lam)
     return _dominates(
@@ -440,6 +473,30 @@ def less_noisy_exact(w, v, psd_tol: float = PSD_TOL) -> DominationVerdict:
             "min_eigenvalues": minima,
         }
     )
+
+
+def less_noisy_mask(w, vms, psd_tol: float = PSD_TOL) -> np.ndarray:
+    """``less_noisy_exact(w, v).dominates`` for every V of an (n, q, s) stack.
+
+    The same shortcuts, gate and vertex checks, each vertex checked for the
+    whole stack at once; no certificates or witnesses.  The rows of each V
+    must already be pmfs.
+    """
+    wm = as_channel(w).matrix
+    vms = np.asarray(vms, dtype=float)
+    if vms.ndim != 3 or vms.shape[1] != wm.shape[0]:
+        raise ValueError(f"expected a stack of channels with {wm.shape[0]} inputs, got {vms.shape}")
+    constant = np.abs(vms - vms[:, :1]).max(axis=(1, 2)) <= 1e-12  # dominated by every W
+    if _is_identity(wm):
+        return np.ones(len(vms), dtype=bool)
+    if _rows_all_equal(wm) or constant.all():
+        return constant
+    _require_invertible(wm)
+    a = np.linalg.solve(wm, vms)
+    refuted = np.zeros(len(vms), dtype=bool)
+    for _, ok, _, _ in _vertex_checks(wm, vms, a, psd_tol):
+        refuted |= ~ok
+    return ~refuted | constant
 
 
 def sample_interior_pmf(rng: np.random.Generator, q: int) -> np.ndarray:

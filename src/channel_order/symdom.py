@@ -5,15 +5,34 @@ probability delta form a nested chain of sets: the degradation region (the
 convex hull of the cyclic shifts of the symmetric noise pmf), a polytope
 lower bound for the less-noisy region (adding the shifts of the gamma-bound
 noise pmf), the less-noisy region itself, and the Euclidean ball around
-uniform of the symmetric noise pmf's radius.  ``classify_noise_pmf`` places a
-pmf in the finest stratum it provably belongs to.
+uniform of the symmetric noise pmf's radius.  ``classify_noise_pmfs`` places
+each pmf of a stack in the finest stratum it provably belongs to, one array
+pass per stratum.
+
+The polytope has a closed form.  With u uniform and e_k the k-th unit
+vector, the symmetric noise pmf at parameter t and its shifts are
+u + r(t) (e_k - u) with r(t) = 1 - q t / (q-1), so the 2q generators are
+
+    u + r_d (e_k - u)   with r_d = r(delta) >= 0,
+    u + r_g (e_k - u)   with r_g = r(gamma) <= 0.
+
+A pmf p = u + d lies in their hull iff d = sum_k c_k (e_k - u) with
+c_k = a_k r_d - b_k |r_g|, weights a, b >= 0 and sum(a) + sum(b) <= 1
+(adding equal weight to every a_k moves c by a multiple of the all-ones
+vector, which the e_k - u ignore, so the total can be padded up to 1).
+The c that give d are c = d + s 1 for a scalar s, and the cheapest split
+of c_k costs c_k^+ / r_d + c_k^- / |r_g|.  That cost is convex and piecewise
+linear in s with breakpoints at s = -d_j, so
+
+    p in hull  iff  min_j sum_k [(p_k - p_j)^+ / r_d + (p_j - p_k)^+ / |r_g|] <= 1.
+
+At delta = (q-1)/q both radii vanish and the hull is {u}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -30,16 +49,17 @@ from .channels import (
     uniform_pmf,
 )
 from .divergences import eta_tv, kl, maximal_correlation, shannon_entropy
-from .groups import circulant, cyclic_group
+from .groups import circulant, cyclic_group  # circulant: not called here; bench/tracing.py wraps it
 from .preorders import (
     LP_TOL,
     SingularChannelError,
     Status,
-    convex_hull_membership,
     is_degraded,  # not called here; bench/tracing.py wraps this name
     less_noisy_exact,
+    less_noisy_mask,
     less_noisy_sampled,  # not called here; bench/tracing.py wraps this name
-    majorizes,
+    majorized_rows,
+    majorizes,  # not called here; bench/tracing.py wraps this name
 )
 
 LABELS = ("DEGRADED", "LOWER_HULL", "LESS_NOISY", "CIRCLE_ONLY", "OUTSIDE")
@@ -92,21 +112,20 @@ def ln_gamma_bound(q: int, delta: float) -> float:
     endpoint 1 - delta/(q-1) strictly for q >= 3 and interior delta, which is
     what makes the region chain's first inclusion strict.
     """
+    _check_delta(q, delta)
+    return (1.0 - delta) / (1.0 - delta + delta / (q - 1) ** 2)
+
+
+def _check_delta(q: int, delta: float) -> None:
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
     if not 0.0 <= delta <= (q - 1) / q:
         raise ValueError(f"delta must lie in [0, (q-1)/q], got {delta}")
-    return (1.0 - delta) / (1.0 - delta + delta / (q - 1) ** 2)
 
 
 def circle_radius(q: int, delta: float) -> float:
     """Euclidean distance of the symmetric noise pmf from uniform."""
     return abs(1.0 - q * delta / (q - 1)) * math.sqrt((q - 1) / q)
-
-
-def _cyclic_shifts(vec: np.ndarray) -> np.ndarray:
-    q = vec.size
-    return np.vstack([np.roll(vec, k) for k in range(q)])
 
 
 @dataclass(frozen=True)
@@ -122,52 +141,80 @@ class RegionPoint:
             raise ValueError(f"unknown label {self.label}")
 
 
+def _hull_members(q: int, delta: float, noise: np.ndarray, lp_tol: float) -> np.ndarray:
+    """Closed-form hull test (module docstring) for each row of an (n, q) stack."""
+    r_delta = 1.0 - q * delta / (q - 1)
+    r_gamma = q * ln_gamma_bound(q, delta) / (q - 1) - 1.0  # |r(gamma)|
+    if r_delta <= 0.0:
+        # the hull is {uniform}; the LP's phase-one residual is the L1 distance
+        return np.abs(noise - 1.0 / q).sum(axis=1) <= lp_tol
+    diff = noise[:, :, None] - noise[:, None, :]  # [n, k, j] = p_k - p_j
+    up, down = np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # r_gamma rounds to 0 only within an ulp of the boundary; 0 / 0 counts as 0
+        down = np.where(down > 0.0, down / r_gamma, 0.0)
+    cost = (up / r_delta + down).sum(axis=1).min(axis=1)
+    return cost <= 1.0 + lp_tol
+
+
 def lower_hull_member(q: int, delta: float, v, lp_tol: float = LP_TOL) -> bool:
     """Membership of v in the hull of the cyclic shifts of the delta and gamma noise pmfs.
 
     Cyclic shifts are used regardless of the underlying group: the hull's 2q
-    generators are defined through the rotation orbit of the two noise pmfs.
+    generators u + r(t) (e_k - u), t in {delta, gamma}, are the rotation orbits
+    of the two noise pmfs.  Decided in closed form, not by an LP: p is a
+    member iff min_j sum_k [(p_k - p_j)^+ / r(delta) + (p_j - p_k)^+ / |r(gamma)|]
+    <= 1 + lp_tol, with r(t) = 1 - q t / (q-1).  The module docstring derives
+    it.  At delta = (q-1)/q the hull is the uniform pmf alone, and p is a member
+    iff its L1 distance from uniform is at most lp_tol.
     """
+    _check_delta(q, delta)
     noise = as_pmf(v).probs
-    gamma = ln_gamma_bound(q, delta)
-    generators = np.vstack(
-        [
-            _cyclic_shifts(symmetric_noise_pmf(q, delta).probs),
-            _cyclic_shifts(symmetric_noise_pmf(q, gamma).probs),
-        ]
-    )
-    member, _ = convex_hull_membership(generators, noise, lp_tol)
-    return member
+    if noise.size != q:
+        raise ValueError(f"noise pmf length {noise.size} does not match q = {q}")
+    return bool(_hull_members(q, delta, noise[None, :], lp_tol)[0])
+
+
+def classify_noise_pmfs(q: int, delta: float, noise, norm_tol: float = 1e-12) -> list[str]:
+    """Assign each row of an (n, q) stack of noise pmfs to its finest stratum.
+
+    Checked in order, each test on the rows still unlabelled: DEGRADED
+    (majorization by the symmetric noise pmf), LOWER_HULL (membership in the
+    two-orbit hull), then OUTSIDE the ball around uniform, and inside it
+    LESS_NOISY (exact vertex test of W_delta against the circulant, which may
+    be singular) or CIRCLE_ONLY.  The less-noisy test runs only inside the
+    ball, which is necessary for it.  Returns one label per row.
+    """
+    _check_delta(q, delta)
+    p = np.asarray(noise, dtype=float)
+    if p.ndim != 2 or p.shape[1] != q:
+        raise ValueError(f"expected an (n, {q}) stack of noise pmfs, got shape {p.shape}")
+    if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("every row must be a pmf")
+    label = np.full(len(p), LABELS.index("OUTSIDE"))
+    degraded = majorized_rows(symmetric_noise_pmf(q, delta).probs, p)
+    label[degraded] = LABELS.index("DEGRADED")
+    rest = np.flatnonzero(~degraded)
+    hull = _hull_members(q, delta, p[rest], LP_TOL)
+    label[rest[hull]] = LABELS.index("LOWER_HULL")
+    rest = rest[~hull]
+    inside = np.linalg.norm(p[rest] - 1.0 / q, axis=1) <= circle_radius(q, delta) + norm_tol
+    rest = rest[inside]
+    if rest.size:
+        # entry (a, b) of the cyclic circulant is p[b - a], as groups.circulant builds it
+        shifts = (np.arange(q) - np.arange(q)[:, None]) % q
+        dominated = less_noisy_mask(symmetric_channel(q, delta), p[rest][:, shifts])
+        label[rest] = np.where(
+            dominated, LABELS.index("LESS_NOISY"), LABELS.index("CIRCLE_ONLY")
+        )
+    return [LABELS[i] for i in label]
 
 
 def classify_noise_pmf(q: int, delta: float, v, norm_tol: float = 1e-12) -> RegionPoint:
-    """Assign a noise pmf to the finest stratum of the nested region chain.
-
-    Checked in order: DEGRADED (majorization by the symmetric noise pmf),
-    LOWER_HULL (membership in the two-orbit hull), LESS_NOISY (exact vertex
-    test of W_delta against the circulant, which may be singular), then
-    CIRCLE_ONLY (inside the ball around uniform) and OUTSIDE.  The
-    less-noisy test runs only inside the ball, which is necessary for it.
-    """
-    if not 0.0 <= delta <= (q - 1) / q:
-        raise ValueError(f"delta must lie in [0, (q-1)/q], got {delta}")
+    """Assign one noise pmf to the finest stratum; see ``classify_noise_pmfs``."""
     noise = as_pmf(v)
-    if len(noise) != q:
-        raise ValueError(f"noise pmf length {len(noise)} does not match q = {q}")
-    w_noise = symmetric_noise_pmf(q, delta).probs
-    if majorizes(w_noise, noise.probs):
-        return RegionPoint(noise=noise, label="DEGRADED")
-    if lower_hull_member(q, delta, noise):
-        return RegionPoint(noise=noise, label="LOWER_HULL")
-    inside_circle = (
-        float(np.linalg.norm(noise.probs - 1.0 / q)) <= circle_radius(q, delta) + norm_tol
-    )
-    if not inside_circle:
-        return RegionPoint(noise=noise, label="OUTSIDE")
-    vc = Channel(circulant(cyclic_group(q), noise.probs))
-    if less_noisy_exact(symmetric_channel(q, delta), vc).dominates:
-        return RegionPoint(noise=noise, label="LESS_NOISY")
-    return RegionPoint(noise=noise, label="CIRCLE_ONLY")
+    (label,) = classify_noise_pmfs(q, delta, noise.probs[None, :], norm_tol)
+    return RegionPoint(noise=noise, label=label)
 
 
 def region_grid(grid_n: int) -> Iterator[tuple[int, int, int]]:
@@ -177,34 +224,29 @@ def region_grid(grid_n: int) -> Iterator[tuple[int, int, int]]:
             yield i, j, grid_n - i - j
 
 
-def region_sample(
-    q: int, delta: float, grid_n: int, out=None, workers: int = 1
-) -> list[RegionPoint]:
+def region_sample(q: int, delta: float, grid_n: int, out=None) -> list[RegionPoint]:
     """Classify every barycentric grid point and optionally stream CSV to ``out``.
 
     Only the ternary emitter (q = 3) is supported; the classifier itself is
     general.  CSV columns: v0,v1,v2,label,method with floats printed to 9
-    significant digits.  Every point is decided exactly and rows are emitted
-    in grid order, so serial and parallel runs produce byte-identical files.
+    significant digits.  The whole grid is classified in one call to
+    ``classify_noise_pmfs`` and rows are emitted in grid order, so identical
+    arguments give byte-identical files.
     """
     if q != 3:
         raise ValueError("the grid emitter supports q = 3 only")
+    _check_delta(q, delta)
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    coords = [np.array(ijk, dtype=float) / grid_n for ijk in region_grid(grid_n)]
-    classify = partial(classify_noise_pmf, q, delta)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(classify, coords, chunksize=32))
-    else:
-        results = [classify(c) for c in coords]
+    coords = np.array(list(region_grid(grid_n)), dtype=float) / grid_n
+    labels = classify_noise_pmfs(q, delta, coords)
+    rows = coords.tolist()
+    points = [RegionPoint(noise=Pmf(c), label=label) for c, label in zip(rows, labels)]
     if out is not None:
         out.write("v0,v1,v2,label,method\n")
-        for c, point in zip(coords, results):
+        for c, point in zip(rows, points):
             out.write(",".join(format(x, ".9g") for x in c) + f",{point.label},{point.method}\n")
-    return results
+    return points
 
 
 def region_label_counts(points: list[RegionPoint]) -> dict[str, int]:

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, JSON/CSV output, determinism."""
 
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from channel_order.channels import channel_to_csv, erasure_channel, symmetric_channel
 from channel_order.cli import main
 from channel_order.groups import cyclic_group
+from channel_order.symdom import region_sample
 
 
 def write_channel(path, channel):
@@ -159,7 +161,7 @@ def test_region_small_grid(capsys, tmp_path):
     out_file = tmp_path / "region.csv"
     code, out, _ = run(
         capsys,
-        ["region", "--delta", "0.2", "--grid", "2", "--out", str(out_file), "--workers", "1"],
+        ["region", "--delta", "0.2", "--grid", "2", "--out", str(out_file)],
     )
     assert code == 0
     summary = json.loads(out)
@@ -177,18 +179,22 @@ def test_region_rejects_bad_params(capsys, tmp_path):
     assert code == 2
 
 
-def test_region_parallel_matches_serial(capsys, tmp_path):
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    run(capsys, ["region", "--delta", "0.2", "--grid", "6", "--out", str(serial), "--workers", "1"])
-    run(capsys, ["region", "--delta", "0.2", "--grid", "6", "--out", str(parallel), "--workers", "2"])
-    assert serial.read_text() == parallel.read_text()
+def test_region_runs_are_byte_identical(capsys, tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    for path in (first, second):
+        code, _, _ = run(capsys, ["region", "--delta", "0.2", "--grid", "6", "--out", str(path)])
+        assert code == 0
+    buffer = io.StringIO()
+    region_sample(3, 0.2, 6, out=buffer)
+    assert first.read_text() == second.read_text() == buffer.getvalue()
 
 
-def test_region_env_var_worker_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CHANNEL_ORDER_THREADS", "1")
-    out_file = tmp_path / "region.csv"
-    code, _, _ = run(capsys, ["region", "--delta", "0.1", "--grid", "3", "--out", str(out_file)])
-    assert code == 0
+def test_region_rejects_workers_option(capsys, tmp_path):
+    argv = ["region", "--delta", "0.1", "--grid", "3", "--out", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "r.csv").exists()
 
 
 # --- constants ---------------------------------------------------------------------

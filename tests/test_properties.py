@@ -1,8 +1,13 @@
-"""Property tests: the exact less-noisy test against the degradation LP and the sampled refuter.
+"""Property tests of the exact less-noisy test and of the batched noise-pmf classifier.
 
-W is drawn square and diagonally dominant, hence invertible.  V is drawn
-square, singular (a repeated row), non-square or erasure, and half the time
-is replaced by W V, which is degraded from W by construction.
+The less-noisy test is checked against the degradation LP and the sampled
+refuter.  W is drawn square and diagonally dominant, hence invertible.  V is
+drawn square, singular (a repeated row), non-square or erasure, and half the
+time is replaced by W V, which is degraded from W by construction.
+
+The classifier's labels are checked against a per-point reference built from
+``majorizes``, the hull LP over the 2q generators and ``less_noisy_exact``
+on the circulant.
 """
 
 import numpy as np
@@ -10,18 +15,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from channel_order.channels import Channel, Pmf, erasure_channel
+from channel_order.channels import (
+    Channel,
+    Pmf,
+    erasure_channel,
+    symmetric_channel,
+    symmetric_noise_pmf,
+)
 from channel_order.divergences import kl
+from channel_order.groups import circulant, cyclic_group
 from channel_order.preorders import (
     DivergencePairWitness,
     LoewnerWitness,
     Status,
     chi2_violation_pair,
+    convex_hull_membership,
     is_degraded,
     less_noisy_exact,
     less_noisy_sampled,
     loewner_gap,
+    majorizes,
 )
+from channel_order.symdom import circle_radius, classify_noise_pmfs, ln_gamma_bound
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -87,3 +102,55 @@ def test_exact_refutations_reverify(pair):
     assert loewner_gap(w, v, witness.pmf) < 0
     _, _, gap = chi2_violation_pair(w, v, witness)
     assert gap < 0
+
+
+@st.composite
+def noise_stacks(draw):
+    """(q, delta, an (n, q) stack of noise pmfs), delta at either end or inside."""
+    q = draw(st.integers(2, 5))
+    boundary = (q - 1) / q
+    where = draw(st.sampled_from(("zero", "boundary", "interior")))
+    if where == "zero":
+        delta = 0.0
+    elif where == "boundary":
+        delta = boundary
+    else:
+        delta = boundary * draw(st.floats(0.01, 0.99))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    rows = draw(
+        st.lists(
+            st.lists(weight, min_size=q, max_size=q).filter(lambda w: sum(w) > 0),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    stack = np.array(rows)
+    return q, delta, stack / stack.sum(axis=1, keepdims=True)
+
+
+def _reference_label(q: int, delta: float, p: np.ndarray) -> str:
+    generators = np.vstack(
+        [
+            np.roll(symmetric_noise_pmf(q, t).probs, k)
+            for t in (delta, ln_gamma_bound(q, delta))
+            for k in range(q)
+        ]
+    )
+    if majorizes(symmetric_noise_pmf(q, delta).probs, p):
+        return "DEGRADED"
+    if convex_hull_membership(generators, p)[0]:
+        return "LOWER_HULL"
+    if np.linalg.norm(p - 1.0 / q) > circle_radius(q, delta) + 1e-12:
+        return "OUTSIDE"
+    circ = Channel(circulant(cyclic_group(q), p))
+    if less_noisy_exact(symmetric_channel(q, delta), circ).dominates:
+        return "LESS_NOISY"
+    return "CIRCLE_ONLY"
+
+
+@PROPERTY_SETTINGS
+@given(noise_stacks())
+def test_batched_classifier_matches_per_point_reference(case):
+    q, delta, stack = case
+    labels = classify_noise_pmfs(q, delta, stack)
+    assert labels == [_reference_label(q, delta, p) for p in stack]

@@ -26,6 +26,7 @@ from channel_order.symdom import (
     additive_degradation_delta,
     circle_radius,
     classify_noise_pmf,
+    classify_noise_pmfs,
     delta_star,
     domination_factor_estimate,
     extremal_degraded_tau,
@@ -183,6 +184,37 @@ def test_classify_singular_circulant_is_exact():
         point = classify_noise_pmf(4, delta, v)
         assert point.method == "exact"
         assert point.label == "CIRCLE_ONLY"
+
+
+def test_lower_hull_member_rejects_wrong_length():
+    with pytest.raises(ValueError, match="length 4 does not match q = 3"):
+        lower_hull_member(3, 0.2, [0.25] * 4)
+
+
+def test_lower_hull_member_at_the_boundary_holds_only_uniform():
+    q = 3
+    assert lower_hull_member(q, 2 / 3, uniform_pmf(q))
+    assert not lower_hull_member(q, 2 / 3, [0.34, 0.33, 0.33])
+    # one ulp below the boundary, r(gamma) rounds to 0 while r(delta) does not
+    delta = float(np.nextafter(0.5, 0.0))
+    assert 1.0 - 2 * delta > 0.0 and 2 * ln_gamma_bound(2, delta) - 1.0 == 0.0
+    assert lower_hull_member(2, delta, uniform_pmf(2))
+    assert not lower_hull_member(2, delta, [0.6, 0.4])
+
+
+def test_classify_noise_pmfs_rejects_bad_input():
+    with pytest.raises(ValueError, match="stack of noise pmfs"):
+        classify_noise_pmfs(3, 0.2, [0.5, 0.5, 0.0])
+    with pytest.raises(ValueError, match="must be a pmf"):
+        classify_noise_pmfs(3, 0.2, [[0.5, 0.6, -0.1]])
+    with pytest.raises(ValueError, match="delta must lie"):
+        classify_noise_pmfs(3, 0.7, [[1.0, 0.0, 0.0]])
+
+
+def test_region_sample_rejects_bad_delta():
+    for delta in (-0.1, 0.9):
+        with pytest.raises(ValueError, match="delta must lie"):
+            region_sample(3, delta, grid_n=4)
 
 
 def test_region_grid_size():
