@@ -289,39 +289,13 @@ def psd_check(m, tol: float = PSD_TOL) -> tuple[bool, float, np.ndarray]:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    ok, lam, vec = _psd_stack(a, tol)
-    return bool(ok), float(lam), vec
-
-
-def _psd_stack(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``psd_check`` over the last two axes of a stack of square matrices."""
-    mt = np.swapaxes(m, -2, -1)
-    sym = 0.5 * (m + mt)
-    scale = np.maximum(1.0, np.abs(sym).max(axis=(-2, -1)))
-    if (np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * scale).any():
+    if np.abs(a - a.T).max() > 1e-10 * max(1.0, np.abs(a).max()):
         raise ValueError("matrix is not symmetric")
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    lam = eigenvalues[..., 0]
-    return lam >= -tol * scale, lam, eigenvectors[..., 0]
-
-
-def _vertex_checks(wm: np.ndarray, vms: np.ndarray, a: np.ndarray, psd_tol: float = PSD_TOL):
-    """The less-noisy vertex checks of W against a stack of channels V, one input letter at a time.
-
-    ``vms`` holds n channels V (n, q, s) and ``a`` the matching A = W^{-1} V.
-    For x = 0, 1, ... tests diag(V[x]) - A^T diag(W[x]) A for PSD on the
-    complement of the all-ones vector, with psd_check's symmetry check and
-    relative tolerance, and yields (x, passes, smallest eigenvalue, its
-    eigenvector in the coordinates of ``_ones_complement(s)``), the last three
-    with one entry per V.  A caller may stop at the first failure.
-    """
-    basis = _ones_complement(vms.shape[-1])
-    ab = a @ basis
-    abt = np.swapaxes(ab, -2, -1)
-    for x in range(wm.shape[0]):
-        m = (basis.T * vms[:, x, None, :]) @ basis - (abt * wm[x]) @ ab
-        ok, lam, vec = _psd_stack(m, psd_tol)
-        yield x, ok, lam, vec
+    a = 0.5 * (a + a.T)
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    lam = float(eigenvalues[0])
+    vec = eigenvectors[:, 0]
+    return lam >= -tol * max(1.0, float(np.abs(a).max())), lam, vec
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +405,15 @@ def _interior_witness(
     return LoewnerWitness(eigenvalue=float(eigenvalues[0]), direction=eigenvectors[:, 0], pmf=p)
 
 
+def _vertex_matrix(basis: np.ndarray, ab: np.ndarray, w_x: np.ndarray, v_x: np.ndarray) -> np.ndarray:
+    """diag(V[x]) - A^T diag(W[x]) A on the complement of the all-ones vector.
+
+    ``basis`` is ``_ones_complement(s)`` and ``ab`` is A @ basis.  ``ab`` and
+    ``v_x`` may carry one leading axis, one entry per channel V.
+    """
+    return (basis.T * v_x[..., None, :]) @ basis - (np.swapaxes(ab, -2, -1) * w_x) @ ab
+
+
 def _require_invertible(wm: np.ndarray) -> None:
     if wm.shape[1] != wm.shape[0]:
         raise SingularChannelError("W is not square; use less_noisy_sampled instead")
@@ -458,12 +441,13 @@ def less_noisy_exact(w, v, psd_tol: float = PSD_TOL) -> DominationVerdict:
         return shortcut
     _require_invertible(wm)
     a = np.linalg.solve(wm, vm)
+    basis = _ones_complement(vc.cols)
+    ab = a @ basis
     minima = []
-    for x, ok, lam, vec in _vertex_checks(wm, vm[None], a[None], psd_tol):
-        lam = float(lam[0])
-        if not ok[0]:
-            u = _ones_complement(vc.cols) @ vec[0]
-            witness = _support_witness(wm, vm) or _interior_witness(wm, vm, a, x, u, lam)
+    for x in range(wc.rows):
+        ok, lam, vec = psd_check(_vertex_matrix(basis, ab, wm[x], vm[x]), psd_tol)
+        if not ok:
+            witness = _support_witness(wm, vm) or _interior_witness(wm, vm, a, x, basis @ vec, lam)
             return _fails(witness=witness)
         minima.append(lam)
     return _dominates(
@@ -475,28 +459,34 @@ def less_noisy_exact(w, v, psd_tol: float = PSD_TOL) -> DominationVerdict:
     )
 
 
-def less_noisy_mask(w, vms, psd_tol: float = PSD_TOL) -> np.ndarray:
+def less_noisy_mask(w, vms) -> np.ndarray:
     """``less_noisy_exact(w, v).dominates`` for every V of an (n, q, s) stack.
 
-    The same shortcuts, gate and vertex checks, each vertex checked for the
-    whole stack at once; no certificates or witnesses.  The rows of each V
-    must already be pmfs.
+    The vertex checks of ``less_noisy_exact``, each input letter checked for
+    the whole stack in one ``eigvalsh`` call with ``psd_check``'s
+    symmetrization and tolerance; no certificates or witnesses.  An identity
+    W or a constant-row V needs no shortcut here: every vertex matrix is then
+    diag(v) - v v^T, which is PSD.  A constant-row W dominates only the
+    constant-row V, as in ``less_noisy_exact``; any other W must pass its
+    invertibility gate.  The rows of each V must already be pmfs.
     """
     wm = as_channel(w).matrix
     vms = np.asarray(vms, dtype=float)
     if vms.ndim != 3 or vms.shape[1] != wm.shape[0]:
         raise ValueError(f"expected a stack of channels with {wm.shape[0]} inputs, got {vms.shape}")
-    constant = np.abs(vms - vms[:, :1]).max(axis=(1, 2)) <= 1e-12  # dominated by every W
-    if _is_identity(wm):
-        return np.ones(len(vms), dtype=bool)
-    if _rows_all_equal(wm) or constant.all():
-        return constant
+    if _rows_all_equal(wm):
+        return np.abs(vms - vms[:, :1]).max(axis=(1, 2)) <= 1e-12
     _require_invertible(wm)
     a = np.linalg.solve(wm, vms)
-    refuted = np.zeros(len(vms), dtype=bool)
-    for _, ok, _, _ in _vertex_checks(wm, vms, a, psd_tol):
-        refuted |= ~ok
-    return ~refuted | constant
+    basis = _ones_complement(vms.shape[2])
+    ab = a @ basis
+    dominated = np.ones(len(vms), dtype=bool)
+    for x in range(wm.shape[0]):
+        m = _vertex_matrix(basis, ab, wm[x], vms[:, x])
+        m = 0.5 * (m + np.swapaxes(m, 1, 2))
+        lam = np.linalg.eigvalsh(m)[:, 0]
+        dominated &= lam >= -PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    return dominated
 
 
 def sample_interior_pmf(rng: np.random.Generator, q: int) -> np.ndarray:

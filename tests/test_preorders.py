@@ -28,6 +28,7 @@ from channel_order.preorders import (
     is_degraded,
     is_degraded_additive,
     less_noisy_exact,
+    less_noisy_mask,
     less_noisy_sampled,
     loewner_gap,
     majorizes,
@@ -334,6 +335,20 @@ def test_less_noisy_exact_shortcuts():
     assert less_noisy_exact(Channel(np.eye(3)), v).dominates
     assert less_noisy_exact(v, constant_channel(3)).dominates
     assert less_noisy_exact(constant_channel(3), v).status is Status.FAILS
+
+
+def test_less_noisy_mask_matches_exact_without_shortcuts():
+    # the stacked test takes no identity or constant-row V shortcut; its
+    # vertex checks must reach the verdicts that less_noisy_exact's shortcuts give
+    rng = np.random.default_rng(4)
+    stack = [random_channel(rng, 3).matrix for _ in range(4)]
+    stack += [np.eye(3), np.eye(3)[[1, 2, 0]], constant_channel(3).matrix]
+    stack += [np.array([[0.6, 0.3, 0.1]] * 3)]
+    for w in [np.eye(3), constant_channel(3), *stack[:4], symmetric_channel(3, 0.2)]:
+        expected = [less_noisy_exact(w, v).dominates for v in stack]
+        assert less_noisy_mask(w, stack).tolist() == expected
+    with pytest.raises(SingularChannelError):
+        less_noisy_mask(Channel(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])), stack)
 
 
 # --- less noisy: sampled -----------------------------------------------------------

@@ -202,6 +202,19 @@ def test_lower_hull_member_at_the_boundary_holds_only_uniform():
     assert not lower_hull_member(2, delta, [0.6, 0.4])
 
 
+def test_classify_next_to_the_boundary_with_a_constant_row_channel():
+    # one ulp below (q-1)/q, W_delta has equal rows within 1e-12; a pmf 1e-12
+    # from uniform is then neither degraded nor in the hull, yet inside the
+    # ball, and the less-noisy test must give less_noisy_exact's verdict
+    # instead of refusing a singular W
+    q, delta = 5, float(np.nextafter(0.8, 0.0))
+    p = np.full(q, 0.2) + 0.36e-12 * np.array([-1.0, -1.0, -1.0, 1.5, 1.5])
+    assert not majorizes(symmetric_noise_pmf(q, delta).probs, p)
+    circ = Channel(circulant(cyclic_group(q), p))
+    assert less_noisy_exact(symmetric_channel(q, delta), circ).dominates
+    assert classify_noise_pmf(q, delta, p).label == "LESS_NOISY"
+
+
 def test_classify_noise_pmfs_rejects_bad_input():
     with pytest.raises(ValueError, match="stack of noise pmfs"):
         classify_noise_pmfs(3, 0.2, [0.5, 0.5, 0.0])
