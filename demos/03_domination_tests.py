@@ -28,11 +28,13 @@ print(f"q={q}, delta={delta}: degradation interval ends at tau={tau},")
 print(f"while the less-noisy order reaches further, to gamma={gamma:.6f}\n")
 
 verdict = is_degraded(w, symmetric_channel(q, tau))
-print(f"degraded at tau? {verdict.status.value}; kernel:")
-print(np.round(verdict.certificate["matrix"], 6))
+print(f"degraded at tau? {verdict.status.value}; kernel A = W^-1 V:")
+print(np.round(verdict.certificate["matrix"], 6) + 0.0)  # + 0.0 prints -0 as 0
 
 beyond = is_degraded(w, symmetric_channel(q, gamma))
+entry = beyond.witness
 print(f"\ndegraded at gamma? {beyond.status.value}")
+print(f"witness: A[{entry['row']}, {entry['col']}] = {entry['value']:.6f} < 0")
 exact = less_noisy_exact(w, symmetric_channel(q, gamma))
 print(f"less noisy at gamma? {exact.status.value} ({exact.certificate['description']})")
 

@@ -2,10 +2,15 @@
 
 Every test returns a DominationVerdict: Dominates with a checkable
 certificate, Fails with a concrete witness, or Undetermined when only sampled
-evidence is available.  Degradation and group majorization reduce to linear
-feasibility problems.  The less-noisy order from a square invertible W to any
-channel V on the same input alphabet reduces to q positive-semidefiniteness
-checks on the single matrix A = W^{-1} V, one per simplex vertex:
+evidence is available.  Both exact tests from a square invertible W go
+through the single matrix A = W^{-1} V, for any channel V on the same input
+alphabet.  V = W K pins the degrading kernel down to K = A, whose rows sum to
+one because W's do, so V is degraded from W iff A >= 0; group majorization
+with an invertible circulant is decided the same way.  Only a non-square or
+singular W, and a singular group circulant, leave a linear feasibility
+problem, solved by scipy's ``linprog``, which is imported on the first such
+call.  The less-noisy order reduces to q positive-semidefiniteness checks on
+A, one per simplex vertex:
 
     W is less noisy than V
         iff  W D_{pW}^{-1} W^T  >=  V D_{pV}^{-1} V^T   (PSD order)
@@ -18,9 +23,9 @@ where D_u = diag(u) and the last step uses that D_{pV} - A^T D_{pW} A is
 linear in p, so checking the simplex vertices suffices.  The rows of A sum
 to one, so the all-ones vector lies in the kernel of every vertex matrix and
 the checks are made on its orthogonal complement.  V is never inverted: it
-may be singular or non-square.  A singular or non-square W raises
-SingularChannelError; the sampled test covers that case and can refute but
-never certify.
+may be singular or non-square.  The exact less-noisy test raises
+SingularChannelError for a singular or non-square W; the sampled test covers
+that case and can refute but never certify.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channels import Pmf, as_channel, as_pmf, point_mass, uniform_pmf
 from .divergences import chi2, kl
@@ -125,6 +129,18 @@ def _undetermined(samples_used: int) -> DominationVerdict:
 # ---------------------------------------------------------------------------
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Importing scipy.optimize costs more than everything else a CLI call
+    does, and only the LP fallbacks need it.  ``LpProblem`` looks this name
+    up at call time, so it can be wrapped as a module attribute.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """Feasibility of ``a_eq x = b_eq`` with ``x >= 0``.
@@ -132,7 +148,9 @@ class LpProblem:
     Feasibility is decided by the phase-one objective (the minimal total
     artificial slack); the problem is feasible iff that optimum is <= lp_tol.
     Solved with scipy's HiGHS backend, which is deterministic on these small
-    dense instances.
+    dense instances.  Only the cases without a unique candidate solution come
+    here: degradation from a non-square or singular W, majorization by a
+    group whose circulant is singular, and hull membership.
     """
 
     a_eq: np.ndarray = field(repr=False)
@@ -219,7 +237,10 @@ def group_majorizes(group: FiniteAbelianGroup, x, y, lp_tol: float = LP_TOL) -> 
     """Does x group-majorize y, i.e. is y a convex combination of x's group orbit?
 
     Decided as feasibility of y = x . circulant(lam) over pmfs lam; a
-    Dominates verdict carries the convex weights lam.
+    Dominates verdict carries the convex weights lam.  When circulant(x) is
+    invertible lam is unique and one solve finds it: x majorizes y iff lam's
+    entries are >= -tol and its sum is 1 within tol, with
+    tol = lp_tol * max(1, |lam|_max).  A singular circulant goes to the LP.
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
@@ -228,7 +249,13 @@ def group_majorizes(group: FiniteAbelianGroup, x, y, lp_tol: float = LP_TOL) -> 
         raise ValueError("vector lengths must match the group order")
     # x . circ(lam) = lam . circ(x), so this is membership of y in the hull of
     # the orbit rows of circ(x), with lam the convex weights
-    feasible, lam = convex_hull_membership(circulant(group, xv), yv, lp_tol)
+    orbit = circulant(group, xv)
+    if is_singular_channel_matrix(orbit):
+        feasible, lam = convex_hull_membership(orbit, yv, lp_tol)
+    else:
+        lam = np.linalg.solve(orbit.T, yv)
+        tol = lp_tol * max(1.0, float(np.abs(lam).max()))
+        feasible = lam.min() >= -tol and abs(lam.sum() - 1.0) <= tol
     if not feasible:
         return _fails(witness={"kind": "infeasible", "x": xv, "y": yv})
     return _dominates(certificate={"kind": "convex_weights", "weights": lam})
@@ -242,27 +269,36 @@ def group_majorizes(group: FiniteAbelianGroup, x, y, lp_tol: float = LP_TOL) -> 
 def is_degraded(w, v, lp_tol: float = LP_TOL) -> DominationVerdict:
     """Is V a degraded version of W, i.e. V = W A for some channel A?
 
-    Feasibility of a linear system in the entries of A (row sums one,
-    nonnegative).  A Dominates verdict carries the degrading kernel A.
+    For a square invertible W, A = W^{-1} V is the only candidate and its
+    rows sum to one, so V is degraded iff A >= -lp_tol * max(1, |A|_max).  A
+    Fails verdict then names A's most negative entry (kind
+    "negative_kernel_entry"), which one solve re-checks.  A non-square or
+    singular W leaves an LP in the entries of A (row sums one, nonnegative),
+    whose Fails verdict carries the phase-one optimum.  A Dominates verdict
+    carries the degrading kernel A and the residual max|W A - V|.
     """
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
         raise ValueError(f"input alphabets differ: {wc.rows} vs {vc.rows}")
-    q, r, s = wc.rows, wc.cols, vc.cols
-    a_eq = np.zeros((q * s + r, r * s))
-    b_eq = np.zeros(q * s + r)
-    for i in range(q):
-        for j in range(s):
-            a_eq[i * s + j, j::s] = wc.matrix[i]
-            b_eq[i * s + j] = vc.matrix[i, j]
-    for k in range(r):
-        a_eq[q * s + k, k * s : (k + 1) * s] = 1.0
-        b_eq[q * s + k] = 1.0
-    feasible, x, optimum = LpProblem(a_eq=a_eq, b_eq=b_eq).solve(lp_tol)
-    if not feasible:
-        return _fails(witness={"kind": "infeasible", "phase_one_optimum": optimum})
-    kernel = x.reshape(r, s)
-    residual = float(np.abs(wc.matrix @ kernel - vc.matrix).max())
+    wm, vm = wc.matrix, vc.matrix
+    if wc.rows == wc.cols and not is_singular_channel_matrix(wm):
+        kernel = np.linalg.solve(wm, vm)
+        row, col = np.unravel_index(np.argmin(kernel), kernel.shape)
+        value = float(kernel[row, col])
+        if value < -lp_tol * max(1.0, float(np.abs(kernel).max())):
+            return _fails(
+                witness={"kind": "negative_kernel_entry", "row": int(row), "col": int(col), "value": value}
+            )
+    else:
+        r, s = wc.cols, vc.cols
+        # unknowns A flattened row-major: W A = V row by row, then A's row sums
+        a_eq = np.vstack([np.kron(wm, np.eye(s)), np.kron(np.eye(r), np.ones((1, s)))])
+        b_eq = np.concatenate([vm.ravel(), np.ones(r)])
+        feasible, x, optimum = LpProblem(a_eq=a_eq, b_eq=b_eq).solve(lp_tol)
+        if not feasible:
+            return _fails(witness={"kind": "infeasible", "phase_one_optimum": optimum})
+        kernel = x.reshape(r, s)
+    residual = float(np.abs(wm @ kernel - vm).max())
     return _dominates(certificate={"kind": "kernel", "matrix": kernel, "residual": residual})
 
 
@@ -575,14 +611,6 @@ def less_noisy_sampled(
         if not ok:
             return _fails(
                 witness=LoewnerWitness(eigenvalue=lam, direction=vec, pmf=p), samples_used=used
-            )
-        # sanity, not a decision criterion: with inclusion and the PSD order
-        # holding, the pseudo-inverse product has spectral radius exactly 1
-        pseudo = basis @ np.diag(1.0 / eigenvalues[rank_mask]) @ basis.T
-        radius = float(np.abs(np.linalg.eigvals(pseudo @ b)).max())
-        if radius > 1.0 + 1e-6:
-            raise AssertionError(
-                f"spectral radius {radius} exceeds 1 despite a passing PSD check"
             )
         q_arr = sample_interior_pmf(rng, q)
         bad = _divergence_pair_violation(wm, vm, p, q_arr, tol=1e-11)

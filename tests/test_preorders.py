@@ -262,6 +262,50 @@ def test_is_degraded_additive_examples():
     assert bad.status is Status.FAILS
 
 
+def test_is_degraded_fails_names_a_negative_kernel_entry():
+    # a square invertible W pins the kernel to A = W^{-1} V; the witness is
+    # A's most negative entry, which one solve re-checks
+    w, v = symmetric_channel(3, 0.2), symmetric_channel(3, 0.95)
+    witness = is_degraded(w, v).witness
+    assert set(witness) == {"kind", "row", "col", "value"}
+    assert witness["kind"] == "negative_kernel_entry"
+    a = np.linalg.solve(w.matrix, v.matrix)
+    assert witness["value"] == a[witness["row"], witness["col"]] == a.min()
+    assert witness["value"] == pytest.approx(-1 / 14)
+
+
+def test_is_degraded_lp_decides_non_square_and_singular_w():
+    rng = np.random.default_rng(8)
+    nonsquare = Channel(np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
+    # third row is the mean of the first two
+    singular = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]))
+    for w in (nonsquare, singular):
+        k = random_channel(rng, w.cols, 4)
+        verdict = is_degraded(w, Channel(w.matrix @ k.matrix))
+        assert verdict.dominates
+        kernel = verdict.certificate["matrix"]
+        assert np.abs(w.matrix @ kernel - w.matrix @ k.matrix).max() <= 1e-8
+        assert kernel.min() >= 0.0
+        failed = is_degraded(w, symmetric_channel(3, 0.1))
+        assert failed.witness["kind"] == "infeasible"
+        assert failed.witness["phase_one_optimum"] > 1e-9
+
+
+def test_group_majorizes_singular_circulant_uses_the_lp():
+    # circ(x) has a vanishing character, so the weights are not unique
+    g = cyclic_group(4)
+    x = np.array([0.35, 0.15, 0.35, 0.15])
+    assert abs(np.linalg.det(circulant(g, x))) < 1e-12
+    lam = np.array([0.1, 0.2, 0.3, 0.4])
+    y = lam @ circulant(g, x)
+    verdict = group_majorizes(g, x, y)
+    assert verdict.dominates
+    weights = verdict.certificate["weights"]
+    assert weights.min() >= 0.0 and weights.sum() == pytest.approx(1.0)
+    assert np.allclose(weights @ circulant(g, x), y, atol=1e-8)
+    assert group_majorizes(g, x, np.array([0.7, 0.1, 0.1, 0.1])).status is Status.FAILS
+
+
 # --- PSD kernel -----------------------------------------------------------------
 
 

@@ -1,9 +1,13 @@
-"""Property tests of the exact less-noisy test and of the batched noise-pmf classifier.
+"""Property tests of the exact less-noisy and degradation tests and of the batched classifier.
 
-The less-noisy test is checked against the degradation LP and the sampled
+The less-noisy test is checked against the degradation test and the sampled
 refuter.  W is drawn square and diagonally dominant, hence invertible.  V is
 drawn square, singular (a repeated row), non-square or erasure, and half the
 time is replaced by W V, which is degraded from W by construction.
+
+The degradation test by the sign of A = W^{-1} V is checked against the
+degradation LP, and group majorization with an invertible circulant against
+the hull LP, on degraded, Dirichlet and extremal inputs.
 
 The classifier's labels are checked against a per-point reference built from
 ``majorizes``, the hull LP over the 2q generators and ``less_noisy_exact``
@@ -27,16 +31,24 @@ from channel_order.groups import circulant, cyclic_group
 from channel_order.preorders import (
     DivergencePairWitness,
     LoewnerWitness,
+    LpProblem,
     Status,
     chi2_violation_pair,
     convex_hull_membership,
+    group_majorizes,
     is_degraded,
+    is_singular_channel_matrix,
     less_noisy_exact,
     less_noisy_sampled,
     loewner_gap,
     majorizes,
 )
-from channel_order.symdom import circle_radius, classify_noise_pmfs, ln_gamma_bound
+from channel_order.symdom import (
+    circle_radius,
+    classify_noise_pmfs,
+    extremal_degraded_tau,
+    ln_gamma_bound,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -102,6 +114,91 @@ def test_exact_refutations_reverify(pair):
     assert loewner_gap(w, v, witness.pmf) < 0
     _, _, gap = chi2_violation_pair(w, v, witness)
     assert gap < 0
+
+
+def _degradation_lp_feasible(wm: np.ndarray, vm: np.ndarray) -> bool:
+    """Feasibility of W A = V over channels A, as an LP in A's entries."""
+    q, r, s = wm.shape[0], wm.shape[1], vm.shape[1]
+    a_eq = np.zeros((q * s + r, r * s))
+    b_eq = np.zeros(q * s + r)
+    for i in range(q):
+        for j in range(s):
+            a_eq[i * s + j, j::s] = wm[i]
+            b_eq[i * s + j] = vm[i, j]
+    for k in range(r):
+        a_eq[q * s + k, k * s : (k + 1) * s] = 1.0
+        b_eq[q * s + k] = 1.0
+    return LpProblem(a_eq=a_eq, b_eq=b_eq).solve()[0]
+
+
+@st.composite
+def invertible_degradation_pairs(draw):
+    """(W, V): W square and invertible; V = W K, Dirichlet, or W's extremal degraded channel."""
+    q = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("degraded", "dirichlet", "extremal")))
+    if kind == "extremal":
+        delta = (q - 1) / q * draw(st.floats(0.02, 0.98))
+        return symmetric_channel(q, delta), symmetric_channel(q, extremal_degraded_tau(q, delta))
+    t = draw(st.floats(0.05, 0.45))
+    w = (1.0 - t) * np.eye(q) + t * _stochastic_rows(draw, q, q)
+    cols = draw(st.sampled_from((q, q + 1)))
+    alpha = draw(st.sampled_from((0.2, 1.0)))
+    v = rng.dirichlet(np.full(cols, alpha), size=q)
+    if kind == "degraded":
+        # zero entries put the kernel on the boundary A >= 0; each column keeps its largest
+        v[(v < 0.05) & (v < v.max(axis=0))] = 0.0
+        v = w @ (v / v.sum(axis=1, keepdims=True))
+    return Channel(w), Channel(v)
+
+
+@PROPERTY_SETTINGS
+@given(invertible_degradation_pairs())
+def test_kernel_sign_matches_degradation_lp(pair):
+    w, v = pair
+    assert not is_singular_channel_matrix(w.matrix)
+    verdict = is_degraded(w, v)
+    assert verdict.dominates == _degradation_lp_feasible(w.matrix, v.matrix)
+    if verdict.dominates:
+        kernel = verdict.certificate["matrix"]
+        assert np.abs(w.matrix @ kernel - v.matrix).max() <= 1e-9
+        assert kernel.min() >= -1e-9
+        assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-9
+    else:
+        witness = verdict.witness
+        assert witness["kind"] == "negative_kernel_entry"
+        assert np.linalg.solve(w.matrix, v.matrix)[witness["row"], witness["col"]] < 0
+
+
+@st.composite
+def majorization_pairs(draw):
+    """(q, x, y): y in x's cyclic orbit hull, Dirichlet, or the extremal symmetric noise."""
+    q = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("hull", "dirichlet", "extremal")))
+    if kind == "extremal":
+        delta = (q - 1) / q * draw(st.floats(0.02, 0.98))
+        tau = extremal_degraded_tau(q, delta)
+        return q, symmetric_noise_pmf(q, delta).probs, symmetric_noise_pmf(q, tau).probs
+    x = rng.dirichlet(np.ones(q))
+    y = rng.dirichlet(np.ones(q))
+    if kind == "hull":
+        y = y @ circulant(cyclic_group(q), x)
+    return q, x, y
+
+
+@PROPERTY_SETTINGS
+@given(majorization_pairs())
+def test_invertible_circulant_majorization_matches_hull_lp(case):
+    q, x, y = case
+    orbit = circulant(cyclic_group(q), x)
+    assert not is_singular_channel_matrix(orbit)
+    verdict = group_majorizes(cyclic_group(q), x, y)
+    assert verdict.dominates == convex_hull_membership(orbit, y)[0]
+    if verdict.dominates:
+        weights = verdict.certificate["weights"]
+        assert np.abs(weights @ orbit - y).max() <= 1e-9
+        assert weights.min() >= -1e-9 and abs(weights.sum() - 1.0) <= 1e-9
 
 
 @st.composite
