@@ -20,9 +20,9 @@ from channel_order import (
 
 delta, grid_n = 0.2, 24
 buffer = io.StringIO()
-points = region_sample(3, delta, grid_n, out=buffer)
-print(f"grid {grid_n}: {len(points)} points, strata sizes:")
-for label, count in region_label_counts(points).items():
+labels = region_sample(3, delta, grid_n, out=buffer)  # one label per grid point
+print(f"grid {grid_n}: {len(labels)} points, strata sizes:")
+for label, count in region_label_counts(labels).items():
     print(f"  {label:<11} {count}")
 
 glyph = {"DEGRADED": "#", "LOWER_HULL": "+", "LESS_NOISY": "o", "CIRCLE_ONLY": ".", "OUTSIDE": " "}
@@ -32,7 +32,7 @@ rows = []
 for i in range(grid_n + 1):
     row = []
     for j in range(grid_n - i + 1):
-        row.append(glyph[points[index].label])
+        row.append(glyph[labels[index]])
         index += 1
     rows.append(" ".join(row))
 for i in reversed(range(grid_n + 1)):

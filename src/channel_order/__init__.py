@@ -76,7 +76,6 @@ from .preorders import (
 )
 from .symdom import (
     DeltaStarResult,
-    RegionPoint,
     additive_degradation_delta,
     circle_radius,
     classify_noise_pmf,

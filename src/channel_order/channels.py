@@ -24,25 +24,38 @@ SUM_TOL = 1e-12
 RENORM_TOL = 1e-9
 
 
+def pmf_rows(m) -> np.ndarray:
+    """Check a 2-d stack of pmfs (``Pmf``, ``Channel`` rows, region noise pmfs).
+
+    Entries must be finite and nonnegative and rows must sum to 1 within
+    RENORM_TOL; rows off by more than SUM_TOL are renormalized one by one.
+    Returns a read-only float copy.
+    """
+    m = np.array(m, dtype=float, order="C")  # C order: each row sums like a 1-d pmf
+    totals = m.sum(axis=1)
+    drift = np.abs(totals - 1.0)
+    worst = drift.max(initial=0.0)
+    # min and max propagate NaN, which fails both comparisons, and an infinite
+    # entry makes its row's sum infinite or NaN: non-finite entries fail here
+    if not (m.min(initial=0.0) >= 0.0 and worst <= RENORM_TOL):
+        i = np.flatnonzero(~((m >= 0.0).all(axis=1) & (drift <= RENORM_TOL)))[0]
+        raise ValueError(f"every row must be a pmf; row {i} is {m[i]} with sum {totals[i]}")
+    if worst > SUM_TOL:
+        off = drift > SUM_TOL
+        m[off] /= totals[off, None]
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class Pmf:
-    """A probability row vector (nonnegative entries summing to one)."""
+    """A probability row vector (finite, nonnegative entries summing to one)."""
 
     probs: np.ndarray = field(repr=False)
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float).reshape(-1).copy()
-        if p.size == 0:
-            raise ValueError("pmf must have at least one entry")
-        if (p < 0).any():  # the array method skips np.any's dispatch overhead
-            raise ValueError(f"pmf has negative entries: {p}")
-        total = p.sum()
-        if abs(total - 1.0) > RENORM_TOL:
-            raise ValueError(f"pmf entries sum to {total}, not 1")
-        if abs(total - 1.0) > SUM_TOL:
-            p = p / total
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        # an empty pmf sums to 0 and is rejected
+        object.__setattr__(self, "probs", pmf_rows(np.reshape(probs, (1, -1)))[0])
 
     def __len__(self) -> int:
         return self.probs.size
@@ -76,12 +89,10 @@ class Channel:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ValueError(f"channel matrix must be 2-d, got shape {m.shape}")
-        rows = [Pmf(row).probs for row in m]
-        m = np.vstack(rows)
-        if np.any(m.max(axis=0) <= 0.0):
-            dead = np.nonzero(m.max(axis=0) <= 0.0)[0]
+        m = pmf_rows(m)
+        dead = np.flatnonzero(m.max(axis=0) <= 0.0)
+        if dead.size:
             raise ValueError(f"output columns {dead.tolist()} carry no probability")
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -12,6 +12,7 @@ not square).  Runs with identical arguments produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -134,17 +135,18 @@ def _cmd_delta_star(args) -> int:
             "upper": result.upper,
             "iterations": result.iterations,
             "bracket_width": result.bracket_width,
-            "method": result.method,
+            "method": "exact",  # every probe is the exact vertex test
         }
     )
     return EXIT_DOMINATES
 
 
 def _cmd_region(args) -> int:
-    with open(args.out, "w") as handle:
-        points = symdom.region_sample(args.q, args.delta, args.grid, out=handle)
-    counts = symdom.region_label_counts(points)
-    _emit({"points": len(points), "counts": counts, "out": args.out})
+    # classify into memory first, so rejected arguments leave --out untouched
+    buffer = io.StringIO()
+    labels = symdom.region_sample(args.q, args.delta, args.grid, out=buffer)
+    Path(args.out).write_text(buffer.getvalue())
+    _emit({"points": len(labels), "counts": symdom.region_label_counts(labels), "out": args.out})
     return EXIT_DOMINATES
 
 

@@ -7,7 +7,7 @@ lower bound for the less-noisy region (adding the shifts of the gamma-bound
 noise pmf), the less-noisy region itself, and the Euclidean ball around
 uniform of the symmetric noise pmf's radius.  ``classify_noise_pmfs`` places
 each pmf of a stack in the finest stratum it provably belongs to, one array
-pass per stratum.
+pass per stratum, and returns their labels.
 
 The polytope has a closed form.  With u uniform and e_k the k-th unit
 vector, the symmetric noise pmf at parameter t and its shifts are
@@ -43,6 +43,7 @@ from .channels import (
     additive_channel,
     as_channel,
     as_pmf,
+    pmf_rows,
     symmetric_channel,
     symmetric_matrix,
     symmetric_noise_pmf,
@@ -128,19 +129,6 @@ def circle_radius(q: int, delta: float) -> float:
     return abs(1.0 - q * delta / (q - 1)) * math.sqrt((q - 1) / q)
 
 
-@dataclass(frozen=True)
-class RegionPoint:
-    """A noise pmf together with its stratum in the nested domination regions."""
-
-    noise: Pmf
-    label: str
-    method: str = "exact"  # every stratum is decided exactly; kept as a CSV column
-
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label}")
-
-
 def _hull_members(q: int, delta: float, noise: np.ndarray, lp_tol: float) -> np.ndarray:
     """Closed-form hull test (module docstring) for each row of an (n, q) stack."""
     r_delta = 1.0 - q * delta / (q - 1)
@@ -183,14 +171,14 @@ def classify_noise_pmfs(q: int, delta: float, noise, norm_tol: float = 1e-12) ->
     two-orbit hull), then OUTSIDE the ball around uniform, and inside it
     LESS_NOISY (exact vertex test of W_delta against the circulant, which may
     be singular) or CIRCLE_ONLY.  The less-noisy test runs only inside the
-    ball, which is necessary for it.  Returns one label per row.
+    ball, which is necessary for it.  Rows pass ``channels.pmf_rows``, as a
+    ``Pmf`` does.  Returns one label per row.
     """
     _check_delta(q, delta)
     p = np.asarray(noise, dtype=float)
     if p.ndim != 2 or p.shape[1] != q:
         raise ValueError(f"expected an (n, {q}) stack of noise pmfs, got shape {p.shape}")
-    if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("every row must be a pmf")
+    p = pmf_rows(p)
     label = np.full(len(p), LABELS.index("OUTSIDE"))
     degraded = majorized_rows(symmetric_noise_pmf(q, delta).probs, p)
     label[degraded] = LABELS.index("DEGRADED")
@@ -210,11 +198,9 @@ def classify_noise_pmfs(q: int, delta: float, noise, norm_tol: float = 1e-12) ->
     return [LABELS[i] for i in label]
 
 
-def classify_noise_pmf(q: int, delta: float, v, norm_tol: float = 1e-12) -> RegionPoint:
-    """Assign one noise pmf to the finest stratum; see ``classify_noise_pmfs``."""
-    noise = as_pmf(v)
-    (label,) = classify_noise_pmfs(q, delta, noise.probs[None, :], norm_tol)
-    return RegionPoint(noise=noise, label=label)
+def classify_noise_pmf(q: int, delta: float, v, norm_tol: float = 1e-12) -> str:
+    """Label of one noise pmf's finest stratum; see ``classify_noise_pmfs``."""
+    return classify_noise_pmfs(q, delta, as_pmf(v).probs[None, :], norm_tol)[0]
 
 
 def region_grid(grid_n: int) -> Iterator[tuple[int, int, int]]:
@@ -224,12 +210,13 @@ def region_grid(grid_n: int) -> Iterator[tuple[int, int, int]]:
             yield i, j, grid_n - i - j
 
 
-def region_sample(q: int, delta: float, grid_n: int, out=None) -> list[RegionPoint]:
-    """Classify every barycentric grid point and optionally stream CSV to ``out``.
+def region_sample(q: int, delta: float, grid_n: int, out=None) -> list[str]:
+    """Label every barycentric grid point and optionally write CSV to ``out``.
 
-    Only the ternary emitter (q = 3) is supported; the classifier itself is
-    general.  CSV columns: v0,v1,v2,label,method with floats printed to 9
-    significant digits.  The whole grid is classified in one call to
+    Returns the labels in ``region_grid`` order.  Only the ternary emitter
+    (q = 3) is supported; the classifier itself is general.  CSV columns:
+    v0,v1,v2,label,method with floats printed to 9 significant digits and
+    method always "exact".  The whole grid is classified in one call to
     ``classify_noise_pmfs`` and rows are emitted in grid order, so identical
     arguments give byte-identical files.
     """
@@ -240,20 +227,15 @@ def region_sample(q: int, delta: float, grid_n: int, out=None) -> list[RegionPoi
         raise ValueError("grid_n must be >= 2")
     coords = np.array(list(region_grid(grid_n)), dtype=float) / grid_n
     labels = classify_noise_pmfs(q, delta, coords)
-    rows = coords.tolist()
-    points = [RegionPoint(noise=Pmf(c), label=label) for c, label in zip(rows, labels)]
     if out is not None:
         out.write("v0,v1,v2,label,method\n")
-        for c, point in zip(rows, points):
-            out.write(",".join(format(x, ".9g") for x in c) + f",{point.label},{point.method}\n")
-    return points
+        for c, label in zip(coords.tolist(), labels):
+            out.write(",".join(format(x, ".9g") for x in c) + f",{label},exact\n")
+    return labels
 
 
-def region_label_counts(points: list[RegionPoint]) -> dict[str, int]:
-    counts = {label: 0 for label in LABELS}
-    for point in points:
-        counts[point.label] += 1
-    return counts
+def region_label_counts(labels: list[str]) -> dict[str, int]:
+    return {label: labels.count(label) for label in LABELS}
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +251,6 @@ class DeltaStarResult:
     upper: float
     iterations: int
     bracket_width: float
-    method: str = "exact"  # every probe is the exact vertex test; kept as a JSON key
     probes: tuple = field(default=(), repr=False)  # (delta, status value) pairs
 
 

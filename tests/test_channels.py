@@ -46,6 +46,31 @@ def test_pmf_rejects_large_drift_and_negatives():
         Pmf([1.1, -0.1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pmf_and_channel_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="must be a pmf"):
+        Pmf([bad, 0.5, 0.5])
+    with pytest.raises(ValueError, match="must be a pmf"):
+        Channel([[0.8, 0.1, 0.1], [bad, 0.5, 0.5], [0.1, 0.1, 0.8]])
+
+
+def test_rows_are_renormalized_one_by_one():
+    # row sums off by 0 and 1e-13 (within SUM_TOL) are kept verbatim, rows off
+    # by 5e-12 and 3e-10 (within RENORM_TOL) are divided by their own sums
+    m = np.array([[0.25, 0.25, 0.5], [0.3, 0.2, 0.5 + 1e-13],
+                  [0.1, 0.4, 0.5 + 5e-12], [0.6, 0.3 + 3e-10, 0.1]])
+    got = Channel(m).matrix
+    assert np.array_equal(got[:2], m[:2])
+    assert np.array_equal(got[2:], m[2:] / m[2:].sum(axis=1, keepdims=True))
+    assert np.all(np.abs(got.sum(axis=1) - 1.0) <= 1e-12)
+    for i, row in enumerate(m):
+        assert Pmf(row).probs.tobytes() == got[i].tobytes()
+    with pytest.raises(ValueError, match="row 1 is"):
+        Channel(np.vstack([m[0], [0.6, 0.3 + 2e-9, 0.1]]))
+    with pytest.raises(ValueError, match="must be a pmf"):
+        Pmf([0.6, 0.3 + 2e-9, 0.1])
+
+
 def test_pmf_interior_predicate():
     assert uniform_pmf(3).is_interior()
     assert not point_mass(3, 0).is_interior()

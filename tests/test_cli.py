@@ -83,6 +83,15 @@ def test_check_degraded_additive_with_group_file(capsys, tmp_path):
     assert code == 0
 
 
+def test_check_degraded_rejects_nan_entry(capsys, tmp_path, w02):
+    # a NaN in V once passed validation and gave "dominates" with a NaN kernel
+    bad = tmp_path / "nan.csv"
+    bad.write_text("nan,0.5,0.5\n0.1,0.8,0.1\n0.1,0.1,0.8\n")
+    code, out, err = run(capsys, ["check-degraded", "--w", w02, "--v", str(bad)])
+    assert code == 2 and out == ""
+    assert "must be a pmf" in json.loads(err)["error"]
+
+
 # --- check-less-noisy ----------------------------------------------------------
 
 
@@ -135,6 +144,7 @@ def test_delta_star_cli(capsys, tmp_path, w02):
     payload = json.loads(out)
     assert 0.1999 <= payload["lower"] <= 0.2001
     assert 0.1999 <= payload["upper"] <= 0.2001
+    assert payload["method"] == "exact"
 
 
 def test_delta_star_constant_channel(capsys, tmp_path):
@@ -142,6 +152,7 @@ def test_delta_star_constant_channel(capsys, tmp_path):
     code, out, _ = run(capsys, ["delta-star", "--v", v])
     payload = json.loads(out)
     assert payload["lower"] == payload["upper"] == 0.75
+    assert payload["method"] == "exact"
 
 
 def test_delta_star_identity(capsys, tmp_path):
@@ -177,6 +188,15 @@ def test_region_rejects_bad_params(capsys, tmp_path):
         ["region", "--delta", "0.9", "--grid", "4", "--out", str(tmp_path / "r.csv")],
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [["--q", "4", "--delta", "0.2"], ["--delta", "0.9"]])
+def test_region_rejected_arguments_leave_out_file_alone(capsys, tmp_path, bad):
+    out = tmp_path / "r.csv"
+    out.write_text("previous contents\n")
+    code, _, _ = run(capsys, ["region", *bad, "--grid", "4", "--out", str(out)])
+    assert code == 2
+    assert out.read_text() == "previous contents\n"
 
 
 def test_region_runs_are_byte_identical(capsys, tmp_path):

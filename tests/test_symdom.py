@@ -159,17 +159,16 @@ def test_circle_radius_closed_form():
 
 def test_classify_examples():
     delta = 0.2
-    assert classify_noise_pmf(3, delta, symmetric_noise_pmf(3, delta)).label == "DEGRADED"
-    assert classify_noise_pmf(3, delta, uniform_pmf(3)).label == "DEGRADED"
+    assert classify_noise_pmf(3, delta, symmetric_noise_pmf(3, delta)) == "DEGRADED"
+    assert classify_noise_pmf(3, delta, uniform_pmf(3)) == "DEGRADED"
     gamma = ln_gamma_bound(3, delta)
-    point = classify_noise_pmf(3, delta, symmetric_noise_pmf(3, gamma))
-    assert point.label == "LOWER_HULL"
+    assert classify_noise_pmf(3, delta, symmetric_noise_pmf(3, gamma)) == "LOWER_HULL"
     assert not majorizes(symmetric_noise_pmf(3, delta).probs, symmetric_noise_pmf(3, gamma).probs)
 
 
 def test_classify_outside_and_circle_only():
     # the identity noise pmf is far outside the ball for moderate delta
-    assert classify_noise_pmf(3, 0.5, Pmf([1.0, 0.0, 0.0])).label == "OUTSIDE"
+    assert classify_noise_pmf(3, 0.5, Pmf([1.0, 0.0, 0.0])) == "OUTSIDE"
 
 
 def test_classify_singular_circulant_is_exact():
@@ -181,9 +180,7 @@ def test_classify_singular_circulant_is_exact():
         m = circulant(cyclic_group(4), v.probs)
         assert abs(np.linalg.det(m)) < 1e-12
         assert not lower_hull_member(4, delta, v)
-        point = classify_noise_pmf(4, delta, v)
-        assert point.method == "exact"
-        assert point.label == "CIRCLE_ONLY"
+        assert classify_noise_pmf(4, delta, v) == "CIRCLE_ONLY"
 
 
 def test_lower_hull_member_rejects_wrong_length():
@@ -212,7 +209,7 @@ def test_classify_next_to_the_boundary_with_a_constant_row_channel():
     assert not majorizes(symmetric_noise_pmf(q, delta).probs, p)
     circ = Channel(circulant(cyclic_group(q), p))
     assert less_noisy_exact(symmetric_channel(q, delta), circ).dominates
-    assert classify_noise_pmf(q, delta, p).label == "LESS_NOISY"
+    assert classify_noise_pmf(q, delta, p) == "LESS_NOISY"
 
 
 def test_classify_noise_pmfs_rejects_bad_input():
@@ -222,6 +219,8 @@ def test_classify_noise_pmfs_rejects_bad_input():
         classify_noise_pmfs(3, 0.2, [[0.5, 0.6, -0.1]])
     with pytest.raises(ValueError, match="delta must lie"):
         classify_noise_pmfs(3, 0.7, [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="must be a pmf"):
+        classify_noise_pmfs(3, 0.2, [[1.0, 0.0, 0.0], [np.nan, 0.5, 0.5]])
 
 
 def test_region_sample_rejects_bad_delta():
@@ -236,15 +235,15 @@ def test_region_grid_size():
 
 
 def test_region_identity_channel_dominates_everything():
-    points = region_sample(3, 0.0, grid_n=6)
-    assert all(p.label == "DEGRADED" for p in points)
+    labels = region_sample(3, 0.0, grid_n=6)
+    assert labels == ["DEGRADED"] * 28
 
 
 def test_region_uniform_channel_dominates_only_uniform():
-    points = region_sample(3, 2 / 3, grid_n=6)
-    labels = region_label_counts(points)
-    assert labels["DEGRADED"] == 1  # only the uniform grid point
-    assert labels["DEGRADED"] + labels["OUTSIDE"] == len(points)
+    labels = region_sample(3, 2 / 3, grid_n=6)
+    counts = region_label_counts(labels)
+    assert counts["DEGRADED"] == 1  # only the uniform grid point
+    assert counts["DEGRADED"] + counts["OUTSIDE"] == len(labels)
 
 
 def test_region_csv_format_and_determinism():
@@ -258,21 +257,23 @@ def test_region_csv_format_and_determinism():
     first = lines[1].split(",")
     assert first[:3] == ["0", "0", "1"]
     assert first[3] in ("DEGRADED", "LOWER_HULL", "LESS_NOISY", "CIRCLE_ONLY", "OUTSIDE")
+    assert first[4] == "exact"
 
 
 def test_region_nesting_small_grid():
     delta = 0.2
-    for point in region_sample(3, delta, grid_n=10):
-        v = point.noise.probs
+    labels = region_sample(3, delta, grid_n=10)
+    for (i, j, k), label in zip(region_grid(10), labels, strict=True):
+        v = np.array([i, j, k]) / 10
         in_degraded = majorizes(symmetric_noise_pmf(3, delta).probs, v)
-        in_hull = lower_hull_member(3, delta, point.noise)
+        in_hull = lower_hull_member(3, delta, v)
         in_circle = float(np.linalg.norm(v - 1 / 3)) <= circle_radius(3, delta) + 1e-12
         if in_degraded:
             assert in_hull
         if in_hull:
-            assert point.label in ("DEGRADED", "LOWER_HULL")
+            assert label in ("DEGRADED", "LOWER_HULL")
             assert in_circle
-        if point.label in ("DEGRADED", "LOWER_HULL", "LESS_NOISY"):
+        if label in ("DEGRADED", "LOWER_HULL", "LESS_NOISY"):
             assert in_circle
 
 
@@ -281,7 +282,6 @@ def test_region_nesting_small_grid():
 
 def test_delta_star_symmetric_channel():
     result = delta_star(symmetric_channel(3, 0.2), tol=1e-4)
-    assert result.method == "exact"
     assert result.bracket_width <= 1e-4
     assert result.lower <= 0.2 + 1e-4
     assert result.upper >= 0.2 - 1e-4
@@ -314,7 +314,6 @@ def test_delta_star_singular_channel_is_exact():
     v = Channel(m)
     assert abs(np.linalg.det(m)) < 1e-12
     result = delta_star(v, tol=1e-3)
-    assert result.method == "exact"
     assert 0.0 < result.lower and result.bracket_width <= 1e-3
     assert less_noisy_exact(symmetric_channel(4, result.lower), v).dominates
     assert less_noisy_exact(symmetric_channel(4, result.upper), v).status is Status.FAILS
