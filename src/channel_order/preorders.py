@@ -146,19 +146,16 @@ class LpProblem:
     """Feasibility of ``a_eq x = b_eq`` with ``x >= 0``.
 
     Feasibility is decided by the phase-one objective (the minimal total
-    artificial slack); the problem is feasible iff that optimum is <= lp_tol.
-    Solved with scipy's HiGHS backend, which is deterministic on these small
-    dense instances.  Only the cases without a unique candidate solution come
-    here: degradation from a non-square or singular W, majorization by a
-    group whose circulant is singular, and hull membership.
+    artificial slack); the problem is feasible iff that optimum is <= lp_tol,
+    and the phase-one point is the solution returned.  Solved with scipy's
+    HiGHS backend, which is deterministic on these small dense instances.
+    Only the cases without a unique candidate solution come here: degradation
+    from a non-square or singular W, majorization by a group whose circulant
+    is singular, and hull membership.
     """
 
     a_eq: np.ndarray = field(repr=False)
     b_eq: np.ndarray = field(repr=False)
-
-    @property
-    def variables(self) -> int:
-        return self.a_eq.shape[1]
 
     def phase_one(self) -> tuple[float, np.ndarray]:
         """Return (phase-one optimum, primal point)."""
@@ -175,19 +172,8 @@ class LpProblem:
     def solve(self, lp_tol: float = LP_TOL) -> tuple[bool, Optional[np.ndarray], float]:
         """Return (feasible, x or None, phase-one optimum)."""
         optimum, x = self.phase_one()
-        if optimum > lp_tol:
-            return False, None, optimum
-        # polish: a direct equality solve usually lands on a cleaner vertex
-        direct = linprog(
-            np.zeros(self.variables),
-            A_eq=self.a_eq,
-            b_eq=self.b_eq,
-            bounds=(0, None),
-            method="highs",
-        )
-        if direct.status == 0:
-            x = direct.x
-        return True, x, optimum
+        feasible = optimum <= lp_tol
+        return feasible, x if feasible else None, optimum
 
 
 def convex_hull_membership(
@@ -419,16 +405,19 @@ def _support_witness(wm: np.ndarray, vm: np.ndarray) -> Optional[DivergencePairW
 
 
 def _interior_witness(
-    wm: np.ndarray, vm: np.ndarray, a: np.ndarray, x: int, u: np.ndarray, lam: float
+    wm: np.ndarray, vm: np.ndarray, a: np.ndarray, x: int, m: np.ndarray
 ) -> LoewnerWitness:
-    """Move a failed vertex check into the simplex and return the Loewner witness there.
+    """Move the failed check at vertex x into the simplex and return the Loewner witness there.
 
-    With M(p) = D_{pV} - A^T D_{pW} A linear in p and u^T M(e_x) u = lam < 0,
+    With M(p) = D_{pV} - A^T D_{pW} A linear in p and u the eigenvector of
+    lam < 0, the smallest eigenvalue of m = M(e_x) (the test's one ``eigh``),
     mixing e_x with uniform no further than u^T M(p) u = lam / 2 keeps the
     form negative at an interior p.  Then d = W^{-T} D_{pW} A u satisfies
     d^T L d < 0 for L = W D_{pW}^{-1} W^T - V D_{pV}^{-1} V^T
     (Cauchy-Schwarz), so L's smallest eigenpair is a refutation at p.
     """
+    eigenvalues, eigenvectors = np.linalg.eigh(m)
+    u, lam = _ones_complement(vm.shape[1]) @ eigenvectors[:, 0], float(eigenvalues[0])
     n = wm.shape[0]
     uniform = np.full(n, 1.0 / n)
     at_uniform = float(u @ (uniform @ vm * u) - (a @ u) @ (uniform @ wm * (a @ u)))
@@ -457,16 +446,44 @@ def _require_invertible(wm: np.ndarray) -> None:
         raise SingularChannelError("W is singular within tolerance; use less_noisy_sampled instead")
 
 
-def less_noisy_exact(w, v, psd_tol: float = PSD_TOL) -> DominationVerdict:
+def _vertex_checks(wm: np.ndarray, vms: np.ndarray):
+    """The q vertex checks of W against every V of an (n, q, s) stack.
+
+    Solves A = W^{-1} V for the stack once, then per input letter x runs one
+    stacked ``eigvalsh`` of the symmetrized M = diag(V[x]) - A^T diag(W[x]) A;
+    a check fails below -PSD_TOL * max(1, |M|_max).  Stops once every V has
+    failed.  Returns (A, vertex minima, first failing letter, the last M), with
+    NaN minima for unchecked letters and letter -1 where all pass; a single
+    failing V's last M is its failing vertex.
+    """
+    _require_invertible(wm)
+    a = np.linalg.solve(wm, vms)
+    basis = _ones_complement(vms.shape[2])
+    ab = a @ basis
+    minima = np.full(vms.shape[:2], np.nan)
+    failed = np.full(len(vms), -1)
+    for x in range(wm.shape[0]):
+        m = _vertex_matrix(basis, ab, wm[x], vms[:, x])
+        m = 0.5 * (m + np.swapaxes(m, 1, 2))
+        minima[:, x] = np.linalg.eigvalsh(m)[:, 0]
+        bad = minima[:, x] < -PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        failed[bad & (failed < 0)] = x
+        if (failed >= 0).all():
+            break
+    return a, minima, failed, m
+
+
+def less_noisy_exact(w, v) -> DominationVerdict:
     """Exact less-noisy test for a square invertible W and any V on its input alphabet.
 
     With A = W^{-1} V, checks at each input letter x that
     diag(V[x]) - A^T diag(W[x]) A is PSD on the complement of the all-ones
-    vector; W is less noisy than V iff all q checks pass.  The tolerance is
-    relative to these matrices, whose size is of order |A|^2.  Dominates
-    verdicts list the q smallest eigenvalues as margins.  Fails verdicts
-    carry an input pair with infinite divergence under V only, when one
-    exists, and otherwise a LoewnerWitness at an interior input pmf.
+    vector; W is less noisy than V iff all q checks pass.  These are
+    ``less_noisy_mask``'s checks on a stack of one (``eigvalsh``, tolerance
+    relative to the matrices, of order |A|^2).  Dominates verdicts list the q
+    smallest eigenvalues as margins.  Fails verdicts carry an input pair with
+    infinite divergence under V only, when one exists, and otherwise a
+    LoewnerWitness at an interior input pmf from the first failing vertex.
     """
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
@@ -475,36 +492,28 @@ def less_noisy_exact(w, v, psd_tol: float = PSD_TOL) -> DominationVerdict:
     shortcut = _shortcut(wm, vm)
     if shortcut is not None:
         return shortcut
-    _require_invertible(wm)
-    a = np.linalg.solve(wm, vm)
-    basis = _ones_complement(vc.cols)
-    ab = a @ basis
-    minima = []
-    for x in range(wc.rows):
-        ok, lam, vec = psd_check(_vertex_matrix(basis, ab, wm[x], vm[x]), psd_tol)
-        if not ok:
-            witness = _support_witness(wm, vm) or _interior_witness(wm, vm, a, x, basis @ vec, lam)
-            return _fails(witness=witness)
-        minima.append(lam)
-    return _dominates(
-        certificate={
-            "kind": "vertex_psd",
-            "description": f"all {wc.rows} vertex PSD checks passed",
-            "min_eigenvalues": minima,
-        }
-    )
+    a, minima, failed, m = _vertex_checks(wm, vm[None])
+    if failed[0] < 0:
+        return _dominates(
+            certificate={
+                "kind": "vertex_psd",
+                "description": f"all {wc.rows} vertex PSD checks passed",
+                "min_eigenvalues": minima[0].tolist(),
+            }
+        )
+    x = failed[0]
+    return _fails(witness=_support_witness(wm, vm) or _interior_witness(wm, vm, a[0], x, m[0]))
 
 
 def less_noisy_mask(w, vms) -> np.ndarray:
     """``less_noisy_exact(w, v).dominates`` for every V of an (n, q, s) stack.
 
-    The vertex checks of ``less_noisy_exact``, each input letter checked for
-    the whole stack in one ``eigvalsh`` call with ``psd_check``'s
-    symmetrization and tolerance; no certificates or witnesses.  An identity
-    W or a constant-row V needs no shortcut here: every vertex matrix is then
+    The vertex checks of ``less_noisy_exact``, one ``eigvalsh`` per input
+    letter for the whole stack; no certificates or witnesses.  An identity W
+    or a constant-row V needs no shortcut here: every vertex matrix is then
     diag(v) - v v^T, which is PSD.  A constant-row W dominates only the
-    constant-row V, as in ``less_noisy_exact``; any other W must pass its
-    invertibility gate.  The rows of each V must already be pmfs.
+    constant-row V, as in ``less_noisy_exact``; any other W must pass the
+    invertibility gate (SingularChannelError).  Rows of each V must be pmfs.
     """
     wm = as_channel(w).matrix
     vms = np.asarray(vms, dtype=float)
@@ -512,17 +521,7 @@ def less_noisy_mask(w, vms) -> np.ndarray:
         raise ValueError(f"expected a stack of channels with {wm.shape[0]} inputs, got {vms.shape}")
     if _rows_all_equal(wm):
         return np.abs(vms - vms[:, :1]).max(axis=(1, 2)) <= 1e-12
-    _require_invertible(wm)
-    a = np.linalg.solve(wm, vms)
-    basis = _ones_complement(vms.shape[2])
-    ab = a @ basis
-    dominated = np.ones(len(vms), dtype=bool)
-    for x in range(wm.shape[0]):
-        m = _vertex_matrix(basis, ab, wm[x], vms[:, x])
-        m = 0.5 * (m + np.swapaxes(m, 1, 2))
-        lam = np.linalg.eigvalsh(m)[:, 0]
-        dominated &= lam >= -PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-    return dominated
+    return _vertex_checks(wm, vms)[2] < 0
 
 
 def sample_interior_pmf(rng: np.random.Generator, q: int) -> np.ndarray:
@@ -560,9 +559,7 @@ def _special_pairs(q: int):
                 yield point_mass(q, x).probs, point_mass(q, y).probs
 
 
-def less_noisy_sampled(
-    w, v, samples: int = 1000, seed: int = 0, psd_tol: float = PSD_TOL
-) -> DominationVerdict:
+def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVerdict:
     """Sampled refutation search for the less-noisy order (never certifies).
 
     Runs three families of necessary checks: the PSD comparison and its range
@@ -607,7 +604,7 @@ def less_noisy_sampled(
                 witness=LoewnerWitness(eigenvalue=lam, direction=direction, pmf=p),
                 samples_used=used,
             )
-        ok, lam, vec = psd_check(a - b, psd_tol)
+        ok, lam, vec = psd_check(a - b)
         if not ok:
             return _fails(
                 witness=LoewnerWitness(eigenvalue=lam, direction=vec, pmf=p), samples_used=used

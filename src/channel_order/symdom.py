@@ -56,7 +56,7 @@ from .preorders import (
     SingularChannelError,
     Status,
     is_degraded,  # not called here; bench/tracing.py wraps this name
-    less_noisy_exact,
+    less_noisy_exact,  # not called here; bench/tracing.py wraps this name
     less_noisy_mask,
     less_noisy_sampled,  # not called here; bench/tracing.py wraps this name
     majorized_rows,
@@ -129,41 +129,41 @@ def circle_radius(q: int, delta: float) -> float:
     return abs(1.0 - q * delta / (q - 1)) * math.sqrt((q - 1) / q)
 
 
-def _hull_members(q: int, delta: float, noise: np.ndarray, lp_tol: float) -> np.ndarray:
+def _hull_members(q: int, delta: float, noise: np.ndarray) -> np.ndarray:
     """Closed-form hull test (module docstring) for each row of an (n, q) stack."""
     r_delta = 1.0 - q * delta / (q - 1)
     r_gamma = q * ln_gamma_bound(q, delta) / (q - 1) - 1.0  # |r(gamma)|
     if r_delta <= 0.0:
         # the hull is {uniform}; the LP's phase-one residual is the L1 distance
-        return np.abs(noise - 1.0 / q).sum(axis=1) <= lp_tol
+        return np.abs(noise - 1.0 / q).sum(axis=1) <= LP_TOL
     diff = noise[:, :, None] - noise[:, None, :]  # [n, k, j] = p_k - p_j
     up, down = np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # r_gamma rounds to 0 only within an ulp of the boundary; 0 / 0 counts as 0
         down = np.where(down > 0.0, down / r_gamma, 0.0)
     cost = (up / r_delta + down).sum(axis=1).min(axis=1)
-    return cost <= 1.0 + lp_tol
+    return cost <= 1.0 + LP_TOL
 
 
-def lower_hull_member(q: int, delta: float, v, lp_tol: float = LP_TOL) -> bool:
+def lower_hull_member(q: int, delta: float, v) -> bool:
     """Membership of v in the hull of the cyclic shifts of the delta and gamma noise pmfs.
 
     Cyclic shifts are used regardless of the underlying group: the hull's 2q
     generators u + r(t) (e_k - u), t in {delta, gamma}, are the rotation orbits
     of the two noise pmfs.  Decided in closed form, not by an LP: p is a
     member iff min_j sum_k [(p_k - p_j)^+ / r(delta) + (p_j - p_k)^+ / |r(gamma)|]
-    <= 1 + lp_tol, with r(t) = 1 - q t / (q-1).  The module docstring derives
+    <= 1 + LP_TOL, with r(t) = 1 - q t / (q-1).  The module docstring derives
     it.  At delta = (q-1)/q the hull is the uniform pmf alone, and p is a member
-    iff its L1 distance from uniform is at most lp_tol.
+    iff its L1 distance from uniform is at most LP_TOL.
     """
     _check_delta(q, delta)
     noise = as_pmf(v).probs
     if noise.size != q:
         raise ValueError(f"noise pmf length {noise.size} does not match q = {q}")
-    return bool(_hull_members(q, delta, noise[None, :], lp_tol)[0])
+    return bool(_hull_members(q, delta, noise[None, :])[0])
 
 
-def classify_noise_pmfs(q: int, delta: float, noise, norm_tol: float = 1e-12) -> list[str]:
+def classify_noise_pmfs(q: int, delta: float, noise) -> list[str]:
     """Assign each row of an (n, q) stack of noise pmfs to its finest stratum.
 
     Checked in order, each test on the rows still unlabelled: DEGRADED
@@ -183,10 +183,10 @@ def classify_noise_pmfs(q: int, delta: float, noise, norm_tol: float = 1e-12) ->
     degraded = majorized_rows(symmetric_noise_pmf(q, delta).probs, p)
     label[degraded] = LABELS.index("DEGRADED")
     rest = np.flatnonzero(~degraded)
-    hull = _hull_members(q, delta, p[rest], LP_TOL)
+    hull = _hull_members(q, delta, p[rest])
     label[rest[hull]] = LABELS.index("LOWER_HULL")
     rest = rest[~hull]
-    inside = np.linalg.norm(p[rest] - 1.0 / q, axis=1) <= circle_radius(q, delta) + norm_tol
+    inside = np.linalg.norm(p[rest] - 1.0 / q, axis=1) <= circle_radius(q, delta) + 1e-12
     rest = rest[inside]
     if rest.size:
         # entry (a, b) of the cyclic circulant is p[b - a], as groups.circulant builds it
@@ -198,9 +198,9 @@ def classify_noise_pmfs(q: int, delta: float, noise, norm_tol: float = 1e-12) ->
     return [LABELS[i] for i in label]
 
 
-def classify_noise_pmf(q: int, delta: float, v, norm_tol: float = 1e-12) -> str:
+def classify_noise_pmf(q: int, delta: float, v) -> str:
     """Label of one noise pmf's finest stratum; see ``classify_noise_pmfs``."""
-    return classify_noise_pmfs(q, delta, as_pmf(v).probs[None, :], norm_tol)[0]
+    return classify_noise_pmfs(q, delta, as_pmf(v).probs[None, :])[0]
 
 
 def region_grid(grid_n: int) -> Iterator[tuple[int, int, int]]:
@@ -261,15 +261,16 @@ def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
     larger-parameter ones and the less-noisy order is transitive, so the
     feasible set is an interval [0, delta*].  The bracket starts at the
     minimum-entry degradation threshold (feasible) and (q-1)/q (the boundary);
-    each probe is the exact test, which needs W_delta invertible (delta below
-    the boundary) but not V.  A probe so close to the boundary that W_delta
-    counts as singular ends the bisection.
+    each probe is the exact vertex test as ``less_noisy_mask`` runs it, with
+    no witness, and needs W_delta invertible (delta below the boundary) but
+    not V.  A probe so close to the boundary that W_delta counts as singular
+    ends the bisection.  ``tol`` must be positive (NaN is rejected).
     """
     vc = as_channel(v)
     if vc.rows != vc.cols:
         raise ValueError("channel must be square")
     q = vc.rows
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     boundary = (q - 1) / q
     if np.abs(vc.matrix - vc.matrix[0]).max() <= 1e-12:
@@ -278,7 +279,8 @@ def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
 
     def probe(delta: float) -> Status:
         try:
-            status = less_noisy_exact(symmetric_channel(q, delta), vc).status
+            dominated = less_noisy_mask(symmetric_channel(q, delta), vc.matrix[None])[0]
+            status = Status.DOMINATES if dominated else Status.FAILS
         except SingularChannelError:
             status = Status.UNDETERMINED
         probes.append((delta, status.value))

@@ -165,6 +165,13 @@ def test_delta_star_identity(capsys, tmp_path):
     assert payload["upper"] <= 1e-4
 
 
+def test_delta_star_rejects_nan_tolerance(capsys, tmp_path, w02):
+    # NaN once passed the check: exit 0 with "iterations": 0 and the starting bracket
+    code, out, err = run(capsys, ["delta-star", "--v", w02, "--tol", "nan"])
+    assert code == 2 and out == ""
+    assert "tolerance must be positive" in json.loads(err)["error"]
+
+
 # --- region ----------------------------------------------------------------------
 
 

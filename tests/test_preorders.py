@@ -23,6 +23,7 @@ from channel_order.preorders import (
     LpProblem,
     SingularChannelError,
     Status,
+    _vertex_checks,
     chi2_violation_pair,
     group_majorizes,
     is_degraded,
@@ -286,6 +287,8 @@ def test_is_degraded_lp_decides_non_square_and_singular_w():
         kernel = verdict.certificate["matrix"]
         assert np.abs(w.matrix @ kernel - w.matrix @ k.matrix).max() <= 1e-8
         assert kernel.min() >= 0.0
+        # the phase-one point is the kernel: its slack bounds the row sums' error
+        assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-9
         failed = is_degraded(w, symmetric_channel(3, 0.1))
         assert failed.witness["kind"] == "infeasible"
         assert failed.witness["phase_one_optimum"] > 1e-9
@@ -393,6 +396,22 @@ def test_less_noisy_mask_matches_exact_without_shortcuts():
         assert less_noisy_mask(w, stack).tolist() == expected
     with pytest.raises(SingularChannelError):
         less_noisy_mask(Channel(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])), stack)
+
+
+def test_stacked_vertex_checks_keep_each_first_failing_letter():
+    # the letter loop runs until every V has failed; each V keeps the letter
+    # and the minima it gets on a stack of its own
+    rng = np.random.default_rng(6)
+    w = symmetric_channel(3, 0.2).matrix
+    stack = np.array([random_channel(rng, 3).matrix for _ in range(8)])
+    stack = np.vstack([stack, symmetric_channel(3, 0.3).matrix[None]])
+    _, minima, failed, _ = _vertex_checks(w, stack)
+    assert (failed == 0).any() and failed[-1] == -1
+    for v, row, letter in zip(stack, minima, failed):
+        _, alone, alone_failed, _ = _vertex_checks(w, v[None])
+        assert letter == alone_failed[0]
+        checked = ~np.isnan(alone[0])
+        assert np.abs(row[checked] - alone[0, checked]).max() <= 1e-12
 
 
 # --- less noisy: sampled -----------------------------------------------------------

@@ -1,9 +1,11 @@
 """Property tests of the exact less-noisy and degradation tests and of the batched classifier.
 
-The less-noisy test is checked against the degradation test and the sampled
-refuter.  W is drawn square and diagonally dominant, hence invertible.  V is
-drawn square, singular (a repeated row), non-square or erasure, and half the
-time is replaced by W V, which is degraded from W by construction.
+The less-noisy test is checked against the degradation test, the sampled
+refuter, and a per-letter loop that runs ``psd_check`` (a full ``eigh``) at
+every vertex, as the test once did.  W is drawn square and diagonally
+dominant, hence invertible.  V is drawn square, singular (a repeated row),
+non-square or erasure, and half the time is replaced by W V, which is
+degraded from W by construction.
 
 The degradation test by the sign of A = W^{-1} V is checked against the
 degradation LP, and group majorization with an invertible circulant against
@@ -38,10 +40,13 @@ from channel_order.preorders import (
     group_majorizes,
     is_degraded,
     is_singular_channel_matrix,
+    _vertex_checks,
     less_noisy_exact,
+    less_noisy_mask,
     less_noisy_sampled,
     loewner_gap,
     majorizes,
+    psd_check,
 )
 from channel_order.symdom import (
     circle_radius,
@@ -114,6 +119,51 @@ def test_exact_refutations_reverify(pair):
     assert loewner_gap(w, v, witness.pmf) < 0
     _, _, gap = chi2_violation_pair(w, v, witness)
     assert gap < 0
+
+
+def _per_letter_vertex_checks(wm: np.ndarray, vm: np.ndarray):
+    """Status, vertex minima, first failing letter and the vertex matrices' scales,
+    from ``psd_check`` at one input letter at a time."""
+    s = vm.shape[1]
+    basis = np.linalg.qr(np.hstack([np.ones((s, 1)), np.eye(s)[:, : s - 1]]))[0][:, 1:]
+    ab = np.linalg.solve(wm, vm) @ basis
+    minima, scales = [], []
+    for x in range(wm.shape[0]):
+        m = (basis.T * vm[x]) @ basis - (ab.T * wm[x]) @ ab
+        ok, lam, _ = psd_check(m)
+        minima.append(lam)
+        scales.append(max(1.0, float(np.abs(m).max())))
+        if not ok:
+            return Status.FAILS, minima, x, scales
+    return Status.DOMINATES, minima, -1, scales
+
+
+@PROPERTY_SETTINGS
+@given(channel_pairs())
+def test_stacked_vertex_checks_match_the_per_letter_loop(pair):
+    w, v = pair
+    wm, vm = w.matrix, v.matrix
+    status, minima, failed, scales = _per_letter_vertex_checks(wm, vm)
+    _, stacked, stacked_failed, _ = _vertex_checks(wm, vm[None])
+    assert int(stacked_failed[0]) == failed
+    checked = len(minima)
+    assert np.all(np.abs(stacked[0, :checked] - minima) <= 1e-12 * np.array(scales))
+    assert np.all(np.isnan(stacked[0, checked:]))
+    verdict = less_noisy_exact(w, v)
+    assert verdict.status is status
+    assert less_noisy_mask(w, [vm]).tolist() == [verdict.dominates]
+    if status is Status.DOMINATES:
+        if isinstance(verdict.certificate, str):
+            return  # a constant-row V is decided by the shortcut, before any vertex
+        margins = np.array(verdict.certificate["min_eigenvalues"])
+        assert np.all(np.abs(margins - minima) <= 1e-12 * np.array(scales))
+        return
+    # a row of W with full support over a zero of V's row gives the divergence pair
+    support = bool(((wm > 0).all(axis=1) & (vm == 0).any(axis=1)).any())
+    assert verdict.witness.kind == ("divergence_pair" if support else "loewner")
+    if not support:
+        # the witness pmf mixes e_x with at most half of uniform
+        assert int(np.argmax(verdict.witness.pmf)) == failed
 
 
 def _degradation_lp_feasible(wm: np.ndarray, vm: np.ndarray) -> bool:

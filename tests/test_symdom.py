@@ -15,6 +15,7 @@ from channel_order.channels import (
 )
 from channel_order.groups import circulant, cyclic_group
 from channel_order.preorders import (
+    SingularChannelError,
     Status,
     is_degraded,
     is_degraded_additive,
@@ -280,8 +281,22 @@ def test_region_nesting_small_grid():
 # --- delta-star -------------------------------------------------------------------
 
 
+def assert_probes_match_exact(v, result):
+    # each probe runs the vertex checks without a witness; its status must be
+    # the full exact test's, and an undetermined probe a singular W_delta
+    q = v.rows
+    for delta, status in result.probes:
+        if status == "undetermined":
+            with pytest.raises(SingularChannelError):
+                less_noisy_exact(symmetric_channel(q, delta), v)
+        else:
+            assert less_noisy_exact(symmetric_channel(q, delta), v).status.value == status, delta
+
+
 def test_delta_star_symmetric_channel():
-    result = delta_star(symmetric_channel(3, 0.2), tol=1e-4)
+    v = symmetric_channel(3, 0.2)
+    result = delta_star(v, tol=1e-4)
+    assert_probes_match_exact(v, result)
     assert result.bracket_width <= 1e-4
     assert result.lower <= 0.2 + 1e-4
     assert result.upper >= 0.2 - 1e-4
@@ -314,6 +329,7 @@ def test_delta_star_singular_channel_is_exact():
     v = Channel(m)
     assert abs(np.linalg.det(m)) < 1e-12
     result = delta_star(v, tol=1e-3)
+    assert_probes_match_exact(v, result)
     assert 0.0 < result.lower and result.bracket_width <= 1e-3
     assert less_noisy_exact(symmetric_channel(4, result.lower), v).dominates
     assert less_noisy_exact(symmetric_channel(4, result.upper), v).status is Status.FAILS
@@ -333,6 +349,7 @@ def test_near_singular_channel(eps, star):
     assert verdict.status is Status.FAILS
     assert loewner_gap(w, v, verdict.witness.pmf) < 0
     result = delta_star(v, tol=1e-4)
+    assert_probes_match_exact(v, result)
     assert result.lower <= star <= result.upper
 
 
@@ -340,7 +357,15 @@ def test_delta_star_large_alphabet_random_channel():
     # sigma_min(V) = 3.9e-4 and delta* = 6.036e-5
     v = Channel(np.random.default_rng(5).dirichlet(np.ones(64), size=64))
     result = delta_star(v, tol=1e-4)
+    assert_probes_match_exact(v, result)
     assert result.lower <= 6.036e-5 <= result.upper
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-4])
+def test_delta_star_rejects_a_tolerance_that_is_not_positive(tol):
+    # NaN once passed the check and returned the starting bracket, never narrowed
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        delta_star(symmetric_channel(3, 0.2), tol=tol)
 
 
 # --- domination factor ---------------------------------------------------------
