@@ -3,7 +3,8 @@
 Subcommands: check-degraded, check-less-noisy, delta-star, region, constants,
 dirichlet-check, group-validate.  Verdicts are printed as JSON (floats rounded
 to 9 significant digits, then rendered with Python's shortest-roundtrip repr;
-infinities appear as the string "inf"), bulk region data as CSV.  Exit codes:
+infinities appear as the string "inf", and a NaN is an error, never printed),
+bulk region data as CSV.  Exit codes:
 0 dominates / holds / valid, 1 fails / violated / invalid, 2 input or
 parameter error, 3 undetermined (sampled evidence only, when W is singular or
 not square).  Runs with identical arguments produce byte-identical output.
@@ -48,7 +49,8 @@ def _round_floats(obj):
 
 
 def _emit(payload) -> None:
-    print(json.dumps(_round_floats(payload), sort_keys=True))
+    # a bare NaN is not JSON: raise ValueError (exit 2) instead of printing it
+    print(json.dumps(_round_floats(payload), sort_keys=True, allow_nan=False))
 
 
 def _load_channel(path: str) -> channels.Channel:

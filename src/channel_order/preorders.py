@@ -26,6 +26,19 @@ the checks are made on its orthogonal complement.  V is never inverted: it
 may be singular or non-square.  The exact less-noisy test raises
 SingularChannelError for a singular or non-square W; the sampled test covers
 that case and can refute but never certify.
+
+A symmetry of the pair cuts the q checks down.  Write M_x for the vertex
+matrix at letter x and P_s for the permutation matrix of a permutation s of
+the letters.  If P_s W P_s^T = W and P_s V P_s^T = V (V square), then
+P_s A P_s^T = A as well, and
+
+    M_{s(x)} = P_s M_x P_s^T,
+
+so M_{s(x)} and M_x have one spectrum, and P_s fixes the all-ones vector.
+A W of the form r I + c J commutes with every permutation, the symmetric
+channel among them.  An additive V over a finite Abelian group is fixed by
+every translation, and the translations carry letter 0 to every letter, so
+then the check at letter 0 decides alone (``_orbit_letters``).
 """
 
 from __future__ import annotations
@@ -446,27 +459,70 @@ def _require_invertible(wm: np.ndarray) -> None:
         raise SingularChannelError("W is singular within tolerance; use less_noisy_sampled instead")
 
 
-def _vertex_checks(wm: np.ndarray, vms: np.ndarray):
-    """The q vertex checks of W against every V of an (n, q, s) stack.
+def _commutes_with_permutations(wm: np.ndarray) -> bool:
+    """Is W exactly r I + c J: square, one diagonal value and one off-diagonal value?
+
+    Compared bitwise.  Such a W commutes with every permutation of the letters.
+    """
+    q = wm.shape[0]
+    if wm.shape[1] != q:
+        return False
+    expected = np.full((q, q), wm[0, 1])
+    np.fill_diagonal(expected, wm[0, 0])
+    return bool((wm == expected).all())
+
+
+def _orbit_letters(vm: np.ndarray) -> range:
+    """The input letters whose vertex checks decide, for any W = r I + c J.
+
+    Reads a permutation s_x off each row x of a square V by
+    V[x, s_x(b)] = V[0, b], which needs row 0's entries to be distinct.  When
+    every s_x maps 0 to x and V[s_x][:, s_x] == V bitwise, the s_x carry the
+    vertex matrix at letter 0 onto every other one (module docstring), and
+    only letter 0 is returned.  Otherwise (a tie in row 0, a non-square V, a
+    row that is not an exact rearrangement of row 0, or an inexact match)
+    every letter is returned.  No tolerance is involved, so the reduction is
+    never applied to a pair it does not hold for.
+    """
+    q = vm.shape[0]
+    every = range(q)
+    if vm.shape[1] != q:
+        return every
+    ranked = np.sort(vm, axis=1)
+    if (ranked[0, 1:] <= ranked[0, :-1]).any() or (ranked != ranked[0]).any():
+        return every
+    order = np.argsort(vm, axis=1)
+    sigma = np.empty_like(order)
+    sigma[:, order[0]] = order  # sigma[x, b] = s_x(b)
+    if not (sigma[:, 0] == np.arange(q)).all():
+        return every
+    if not (vm[sigma[:, :, None], sigma[:, None, :]] == vm).all():
+        return every
+    return range(1)
+
+
+def _vertex_checks(wm: np.ndarray, vms: np.ndarray, letters):
+    """The vertex checks at ``letters`` of W against every V of an (n, q, s) stack.
 
     Solves A = W^{-1} V for the stack once, then per input letter x runs one
     stacked ``eigvalsh`` of the symmetrized M = diag(V[x]) - A^T diag(W[x]) A;
     a check fails below -PSD_TOL * max(1, |M|_max).  Stops once every V has
-    failed.  Returns (A, vertex minima, first failing letter, the last M), with
-    NaN minima for unchecked letters and letter -1 where all pass; a single
-    failing V's last M is its failing vertex.
+    failed.  Returns (A, vertex minima, first failing letter, the last M):
+    minima has one column per entry of ``letters``, NaN where unchecked, and
+    the letter is -1 where all pass; a single failing V's last M is its
+    failing vertex.
     """
     _require_invertible(wm)
     a = np.linalg.solve(wm, vms)
     basis = _ones_complement(vms.shape[2])
     ab = a @ basis
-    minima = np.full(vms.shape[:2], np.nan)
+    minima = np.full((len(vms), len(letters)), np.nan)
     failed = np.full(len(vms), -1)
-    for x in range(wm.shape[0]):
+    for i, x in enumerate(letters):
         m = _vertex_matrix(basis, ab, wm[x], vms[:, x])
         m = 0.5 * (m + np.swapaxes(m, 1, 2))
-        minima[:, x] = np.linalg.eigvalsh(m)[:, 0]
-        bad = minima[:, x] < -PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        minima[:, i] = np.linalg.eigvalsh(m)[:, 0]
+        bad = minima[:, i] < -PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
         failed[bad & (failed < 0)] = x
         if (failed >= 0).all():
             break
@@ -480,10 +536,15 @@ def less_noisy_exact(w, v) -> DominationVerdict:
     diag(V[x]) - A^T diag(W[x]) A is PSD on the complement of the all-ones
     vector; W is less noisy than V iff all q checks pass.  These are
     ``less_noisy_mask``'s checks on a stack of one (``eigvalsh``, tolerance
-    relative to the matrices, of order |A|^2).  Dominates verdicts list the q
-    smallest eigenvalues as margins.  Fails verdicts carry an input pair with
-    infinite divergence under V only, when one exists, and otherwise a
-    LoewnerWitness at an interior input pmf from the first failing vertex.
+    relative to the matrices, of order |A|^2).  When W = r I + c J and V is
+    fixed by permutations carrying letter 0 to every letter (an additive V
+    with distinct noise entries, for one), the check at letter 0 alone
+    decides (``_orbit_letters``).  Dominates verdicts list the q smallest
+    eigenvalues as margins (kind "vertex_psd"), or, when letter 0 decided
+    alone, name that letter and its margin (kind "vertex_psd_orbit").  Fails
+    verdicts carry an input pair with infinite divergence under V only, when
+    one exists, and otherwise a LoewnerWitness at an interior input pmf from
+    the first failing vertex.
     """
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
@@ -492,17 +553,37 @@ def less_noisy_exact(w, v) -> DominationVerdict:
     shortcut = _shortcut(wm, vm)
     if shortcut is not None:
         return shortcut
-    a, minima, failed, m = _vertex_checks(wm, vm[None])
-    if failed[0] < 0:
+    letters = _orbit_letters(vm) if _commutes_with_permutations(wm) else range(wc.rows)
+    a, minima, failed, m = _vertex_checks(wm, vm[None], letters)
+    if failed[0] >= 0:
+        x = failed[0]
+        return _fails(witness=_support_witness(wm, vm) or _interior_witness(wm, vm, a[0], x, m[0]))
+    if len(letters) < wc.rows:
         return _dominates(
             certificate={
-                "kind": "vertex_psd",
-                "description": f"all {wc.rows} vertex PSD checks passed",
-                "min_eigenvalues": minima[0].tolist(),
+                "kind": "vertex_psd_orbit",
+                "description": (
+                    f"vertex PSD check passed at letter 0; permutations fixing W and V "
+                    f"carry it to all {wc.rows} letters"
+                ),
+                "letter": 0,
+                "min_eigenvalue": float(minima[0, 0]),
             }
         )
-    x = failed[0]
-    return _fails(witness=_support_witness(wm, vm) or _interior_witness(wm, vm, a[0], x, m[0]))
+    return _dominates(
+        certificate={
+            "kind": "vertex_psd",
+            "description": f"all {wc.rows} vertex PSD checks passed",
+            "min_eigenvalues": minima[0].tolist(),
+        }
+    )
+
+
+def _vertex_mask(wm: np.ndarray, vms: np.ndarray, letters) -> np.ndarray:
+    """``less_noisy_mask`` for a checked W and stack, with the vertex checks at ``letters``."""
+    if _rows_all_equal(wm):
+        return np.abs(vms - vms[:, :1]).max(axis=(1, 2)) <= 1e-12
+    return _vertex_checks(wm, vms, letters)[2] < 0
 
 
 def less_noisy_mask(w, vms) -> np.ndarray:
@@ -519,9 +600,7 @@ def less_noisy_mask(w, vms) -> np.ndarray:
     vms = np.asarray(vms, dtype=float)
     if vms.ndim != 3 or vms.shape[1] != wm.shape[0]:
         raise ValueError(f"expected a stack of channels with {wm.shape[0]} inputs, got {vms.shape}")
-    if _rows_all_equal(wm):
-        return np.abs(vms - vms[:, :1]).max(axis=(1, 2)) <= 1e-12
-    return _vertex_checks(wm, vms)[2] < 0
+    return _vertex_mask(wm, vms, range(wm.shape[0]))
 
 
 def sample_interior_pmf(rng: np.random.Generator, q: int) -> np.ndarray:
@@ -566,7 +645,10 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
     inclusion at sampled interior input pmfs, and the KL / chi-squared output
     divergence inequalities on deterministic boundary pairs plus sampled
     pairs.  Any violation yields Fails with a witness; otherwise Undetermined.
+    ``samples`` must be nonnegative.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
         raise ValueError(f"input alphabets differ: {wc.rows} vs {vc.rows}")

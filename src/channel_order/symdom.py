@@ -55,6 +55,8 @@ from .preorders import (
     LP_TOL,
     SingularChannelError,
     Status,
+    _orbit_letters,
+    _vertex_mask,
     is_degraded,  # not called here; bench/tracing.py wraps this name
     less_noisy_exact,  # not called here; bench/tracing.py wraps this name
     less_noisy_mask,
@@ -264,7 +266,12 @@ def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
     each probe is the exact vertex test as ``less_noisy_mask`` runs it, with
     no witness, and needs W_delta invertible (delta below the boundary) but
     not V.  A probe so close to the boundary that W_delta counts as singular
-    ends the bisection.  ``tol`` must be positive (NaN is rejected).
+    ends the bisection.  W_delta = r I + c J commutes with every permutation,
+    so when V's own symmetry carries letter 0 to every letter (an additive V
+    with distinct noise entries, for one) each probe checks letter 0 alone;
+    V's symmetry is detected once, before the first probe
+    (``preorders._orbit_letters``).  ``tol`` must be positive (NaN is
+    rejected).
     """
     vc = as_channel(v)
     if vc.rows != vc.cols:
@@ -276,10 +283,11 @@ def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
     if np.abs(vc.matrix - vc.matrix[0]).max() <= 1e-12:
         return DeltaStarResult(lower=boundary, upper=boundary, iterations=0, bracket_width=0.0)
     probes = []
+    letters = _orbit_letters(vc.matrix)
 
     def probe(delta: float) -> Status:
         try:
-            dominated = less_noisy_mask(symmetric_channel(q, delta), vc.matrix[None])[0]
+            dominated = _vertex_mask(symmetric_channel(q, delta).matrix, vc.matrix[None], letters)[0]
             status = Status.DOMINATES if dominated else Status.FAILS
         except SingularChannelError:
             status = Status.UNDETERMINED

@@ -8,7 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from channel_order.channels import channel_to_csv, erasure_channel, symmetric_channel
+from channel_order.channels import (
+    Channel,
+    additive_channel,
+    channel_to_csv,
+    erasure_channel,
+    symmetric_channel,
+)
 from channel_order.cli import main
 from channel_order.groups import cyclic_group
 from channel_order.symdom import region_sample
@@ -133,6 +139,34 @@ def test_check_less_noisy_sampled_undetermined(capsys, tmp_path):
     )
     assert code == 3
     assert json.loads(out)["status"] == "undetermined"
+
+
+def test_check_less_noisy_orbit_certificate_is_strict_json(capsys, tmp_path):
+    # an additive V with distinct noise entries: letter 0 decides alone, and
+    # the certificate names it and its margin, with no NaN anywhere
+    noise = np.array([0.4, 0.25, 0.15, 0.12, 0.08])
+    v = write_channel(tmp_path / "v.csv", additive_channel(cyclic_group(5), noise))
+    w = write_channel(tmp_path / "w.csv", symmetric_channel(5, 0.1))
+    code, out, _ = run(capsys, ["check-less-noisy", "--w", w, "--v", v])
+    assert code == 0
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    certificate = json.loads(out, parse_constant=reject)["certificate"]
+    assert certificate["kind"] == "vertex_psd_orbit"
+    assert certificate["letter"] == 0
+    assert certificate["min_eigenvalue"] > 0
+
+
+def test_check_less_noisy_rejects_a_negative_sample_budget(capsys, tmp_path):
+    # a singular W sends the call to the sampled search, which used to accept -3
+    w = Channel(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    wf = write_channel(tmp_path / "w.csv", w)
+    vf = write_channel(tmp_path / "v.csv", Channel(w.matrix @ symmetric_channel(3, 0.2).matrix))
+    code, out, err = run(capsys, ["check-less-noisy", "--w", wf, "--v", vf, "--samples", "-3"])
+    assert code == 2 and out == ""
+    assert "samples" in json.loads(err)["error"]
 
 
 # --- delta-star ------------------------------------------------------------------

@@ -23,6 +23,7 @@ from channel_order.preorders import (
     LpProblem,
     SingularChannelError,
     Status,
+    _orbit_letters,
     _vertex_checks,
     chi2_violation_pair,
     group_majorizes,
@@ -405,13 +406,27 @@ def test_stacked_vertex_checks_keep_each_first_failing_letter():
     w = symmetric_channel(3, 0.2).matrix
     stack = np.array([random_channel(rng, 3).matrix for _ in range(8)])
     stack = np.vstack([stack, symmetric_channel(3, 0.3).matrix[None]])
-    _, minima, failed, _ = _vertex_checks(w, stack)
+    _, minima, failed, _ = _vertex_checks(w, stack, range(3))
     assert (failed == 0).any() and failed[-1] == -1
     for v, row, letter in zip(stack, minima, failed):
-        _, alone, alone_failed, _ = _vertex_checks(w, v[None])
+        _, alone, alone_failed, _ = _vertex_checks(w, v[None], range(3))
         assert letter == alone_failed[0]
         checked = ~np.isnan(alone[0])
         assert np.abs(row[checked] - alone[0, checked]).max() <= 1e-12
+
+
+
+def test_orbit_reduction_needs_a_symmetry_of_v_not_just_rearranged_rows():
+    # every row of V rearranges row 0 and V[x, x] = V[0, 0], but the Latin
+    # square is no group table: letter 0 passes and letter 4 fails, so no
+    # symmetry of V carries 0 to 4, and checking letter 0 alone would be wrong
+    square = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    v = Channel(np.array([0.3, 0.25, 0.2, 0.15, 0.1])[square])
+    w = symmetric_channel(5, 0.557)
+    assert _orbit_letters(v.matrix) == range(5)
+    _, minima, failed, _ = _vertex_checks(w.matrix, v.matrix[None], range(5))
+    assert minima[0, 0] > 0 and failed[0] == 4
+    assert less_noisy_exact(w, v).status is Status.FAILS
 
 
 # --- less noisy: sampled -----------------------------------------------------------
@@ -432,6 +447,15 @@ def test_less_noisy_sampled_erasure_witness(delta, eps):
     assert np.allclose(witness.p, np.full(3, 1 / 3))
     assert np.allclose(witness.q, [1, 0, 0])
     assert math.isinf(witness.rhs) and math.isfinite(witness.lhs)
+
+
+def test_less_noisy_sampled_rejects_a_negative_budget():
+    # a negative budget once ran the boundary pairs and reported Undetermined
+    w = Channel(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    v = Channel(w.matrix @ symmetric_channel(3, 0.2).matrix)
+    with pytest.raises(ValueError, match="samples"):
+        less_noisy_sampled(w, v, samples=-3)
+    assert less_noisy_sampled(w, v, samples=0).status is Status.UNDETERMINED
 
 
 def test_less_noisy_sampled_identity_shortcut():

@@ -14,6 +14,11 @@ the hull LP, on degraded, Dirichlet and extremal inputs.
 The classifier's labels are checked against a per-point reference built from
 ``majorizes``, the hull LP over the 2q generators and ``less_noisy_exact``
 on the circulant.
+
+The orbit reduction (one vertex check for an additive V against W_delta) is
+checked against the same per-letter loop, on additive V over cyclic and
+product groups, relabelled or not, with a tied noise entry, with one entry
+moved by one ulp, and against a W outside the family r I + c J.
 """
 
 import numpy as np
@@ -24,12 +29,13 @@ from hypothesis.extra.numpy import arrays
 from channel_order.channels import (
     Channel,
     Pmf,
+    additive_channel,
     erasure_channel,
     symmetric_channel,
     symmetric_noise_pmf,
 )
 from channel_order.divergences import kl
-from channel_order.groups import circulant, cyclic_group
+from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
     DivergencePairWitness,
     LoewnerWitness,
@@ -40,6 +46,8 @@ from channel_order.preorders import (
     group_majorizes,
     is_degraded,
     is_singular_channel_matrix,
+    _commutes_with_permutations,
+    _orbit_letters,
     _vertex_checks,
     less_noisy_exact,
     less_noisy_mask,
@@ -144,7 +152,7 @@ def test_stacked_vertex_checks_match_the_per_letter_loop(pair):
     w, v = pair
     wm, vm = w.matrix, v.matrix
     status, minima, failed, scales = _per_letter_vertex_checks(wm, vm)
-    _, stacked, stacked_failed, _ = _vertex_checks(wm, vm[None])
+    _, stacked, stacked_failed, _ = _vertex_checks(wm, vm[None], range(len(wm)))
     assert int(stacked_failed[0]) == failed
     checked = len(minima)
     assert np.all(np.abs(stacked[0, :checked] - minima) <= 1e-12 * np.array(scales))
@@ -164,6 +172,67 @@ def test_stacked_vertex_checks_match_the_per_letter_loop(pair):
     if not support:
         # the witness pmf mixes e_x with at most half of uniform
         assert int(np.argmax(verdict.witness.pmf)) == failed
+
+
+@st.composite
+def additive_pairs(draw):
+    """(W, V, perturbation): V additive over Z_q or Z_a x Z_b with q <= 16,
+    W = W_delta; the perturbation is none, a tied noise entry, one entry of V
+    moved by one ulp, or a W with one off-diagonal entry changed."""
+    if draw(st.booleans()):
+        group = cyclic_group(draw(st.integers(2, 16)))
+    else:
+        a = draw(st.integers(2, 4))
+        group = direct_product(cyclic_group(a), cyclic_group(draw(st.integers(2, 16 // a))))
+    q = group.order
+    noise = draw(arrays(np.float64, q, elements=st.floats(0.05, 1.0), unique=True))
+    perturbation = draw(st.sampled_from(("none", "tie", "ulp", "w")))
+    i, j = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+    if perturbation == "tie":
+        noise[j] = noise[i]
+    v = additive_channel(group, noise / noise.sum()).matrix
+    if draw(st.booleans()):
+        p = np.array(draw(st.permutations(range(q))))
+        v = v[p][:, p]
+    if perturbation == "ulp":
+        v = v.copy()
+        v[i, j] = np.nextafter(v[i, j], 1.0)
+    delta = (q - 1) / q * draw(st.floats(0.01, 0.99))
+    w = symmetric_channel(q, delta).matrix
+    if perturbation == "w":
+        # mass moved from W[i, i] to W[i, j]; a move small against W_delta's
+        # smallest eigenvalue keeps W invertible
+        eps = 0.25 * (1.0 - q * delta / (q - 1))
+        w = w.copy()
+        w[i, [i, j]] += [-eps, eps]
+    return Channel(w), Channel(v), perturbation
+
+
+@PROPERTY_SETTINGS
+@given(additive_pairs())
+def test_orbit_reduction_matches_the_per_letter_loop(case):
+    w, v, perturbation = case
+    wm, vm = w.matrix, v.matrix
+    q = len(wm)
+    letters = _orbit_letters(vm) if _commutes_with_permutations(wm) else range(q)
+    # fires on every unperturbed V whose noise entries are distinct, and only there
+    distinct = np.unique(vm[0]).size == q
+    assert (len(letters) == 1) == (perturbation == "none" and distinct)
+    status, minima, failed, scales = _per_letter_vertex_checks(wm, vm)
+    _, checked, checked_failed, _ = _vertex_checks(wm, vm[None], letters)
+    assert int(checked_failed[0]) == failed
+    n = min(len(letters), len(minima))
+    assert np.all(np.abs(checked[0, :n] - minima[:n]) <= 1e-12 * np.array(scales[:n]))
+    verdict = less_noisy_exact(w, v)
+    assert verdict.status is status
+    certificate = verdict.certificate
+    if status is Status.DOMINATES and not isinstance(certificate, str):  # str: a shortcut
+        if len(letters) == 1:
+            assert certificate["kind"] == "vertex_psd_orbit" and certificate["letter"] == 0
+            assert abs(certificate["min_eigenvalue"] - minima[0]) <= 1e-12 * scales[0]
+        else:
+            assert certificate["kind"] == "vertex_psd"
+            assert len(certificate["min_eigenvalues"]) == q
 
 
 def _degradation_lp_feasible(wm: np.ndarray, vm: np.ndarray) -> bool:

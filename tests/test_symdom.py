@@ -9,17 +9,20 @@ import pytest
 from channel_order.channels import (
     Channel,
     Pmf,
+    additive_channel,
     symmetric_channel,
     symmetric_noise_pmf,
     uniform_pmf,
 )
-from channel_order.groups import circulant, cyclic_group
+from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
     SingularChannelError,
     Status,
+    _orbit_letters,
     is_degraded,
     is_degraded_additive,
     less_noisy_exact,
+    less_noisy_mask,
     loewner_gap,
     majorizes,
 )
@@ -283,7 +286,8 @@ def test_region_nesting_small_grid():
 
 def assert_probes_match_exact(v, result):
     # each probe runs the vertex checks without a witness; its status must be
-    # the full exact test's, and an undetermined probe a singular W_delta
+    # the full exact test's and that of the checks at every letter
+    # (less_noisy_mask), and an undetermined probe a singular W_delta
     q = v.rows
     for delta, status in result.probes:
         if status == "undetermined":
@@ -291,6 +295,8 @@ def assert_probes_match_exact(v, result):
                 less_noisy_exact(symmetric_channel(q, delta), v)
         else:
             assert less_noisy_exact(symmetric_channel(q, delta), v).status.value == status, delta
+            every_letter = less_noisy_mask(symmetric_channel(q, delta), v.matrix[None])[0]
+            assert every_letter == (status == "dominates"), delta
 
 
 def test_delta_star_symmetric_channel():
@@ -351,6 +357,21 @@ def test_near_singular_channel(eps, star):
     result = delta_star(v, tol=1e-4)
     assert_probes_match_exact(v, result)
     assert result.lower <= star <= result.upper
+
+
+@pytest.mark.parametrize(
+    "group", [direct_product(cyclic_group(4), cyclic_group(4)), cyclic_group(32)], ids=["Z4xZ4", "Z32"]
+)
+def test_delta_star_additive_channel_probes_one_letter(group):
+    # distinct noise entries: every probe checks letter 0 alone
+    q = group.order
+    noise = 0.7 * np.random.default_rng(q).dirichlet(np.ones(q)) + 0.3 / q
+    v = additive_channel(group, noise)
+    assert _orbit_letters(v.matrix) == range(1)
+    result = delta_star(v, tol=1e-4)
+    assert_probes_match_exact(v, result)
+    assert additive_degradation_delta(noise) <= result.upper
+    assert result.bracket_width <= 1e-4
 
 
 def test_delta_star_large_alphabet_random_channel():
