@@ -121,6 +121,9 @@ def _cmd_check_degraded(args) -> int:
 
 
 def _cmd_check_less_noisy(args) -> int:
+    # checked before dispatch, so the exact test does not ignore a bad budget
+    if args.samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {args.samples}")
     w, v = _load_channel(args.w), _load_channel(args.v)
     try:
         verdict = preorders.less_noisy_exact(w, v)

@@ -475,19 +475,22 @@ def _commutes_with_permutations(wm: np.ndarray) -> bool:
 def _orbit_letters(vm: np.ndarray) -> range:
     """The input letters whose vertex checks decide, for any W = r I + c J.
 
-    Reads a permutation s_x off each row x of a square V by
-    V[x, s_x(b)] = V[0, b], which needs row 0's entries to be distinct.  When
-    every s_x maps 0 to x and V[s_x][:, s_x] == V bitwise, the s_x carry the
-    vertex matrix at letter 0 onto every other one (module docstring), and
-    only letter 0 is returned.  Otherwise (a tie in row 0, a non-square V, a
-    row that is not an exact rearrangement of row 0, or an inexact match)
-    every letter is returned.  No tolerance is involved, so the reduction is
-    never applied to a pair it does not hold for.
+    A V that is itself exactly r' I + c' J commutes with every permutation,
+    and only letter 0 is returned.  Otherwise reads a permutation s_x off each
+    row x of a square V by V[x, s_x(b)] = V[0, b], which needs row 0's entries
+    to be distinct.  When every s_x maps 0 to x and V[s_x][:, s_x] == V
+    bitwise, the s_x carry the vertex matrix at letter 0 onto every other one
+    (module docstring), and only letter 0 is returned.  Otherwise (a tie in
+    row 0, a non-square V, a row that is not an exact rearrangement of row 0,
+    or an inexact match) every letter is returned.  No tolerance is involved,
+    so the reduction is never applied to a pair it does not hold for.
     """
     q = vm.shape[0]
     every = range(q)
     if vm.shape[1] != q:
         return every
+    if _commutes_with_permutations(vm):
+        return range(1)
     ranked = np.sort(vm, axis=1)
     if (ranked[0, 1:] <= ranked[0, :-1]).any() or (ranked != ranked[0]).any():
         return every
@@ -527,6 +530,69 @@ def _vertex_checks(wm: np.ndarray, vms: np.ndarray, letters):
         if (failed >= 0).all():
             break
     return a, minima, failed, m
+
+
+def _symmetric_is_singular(r: float) -> bool:
+    """``is_singular_channel_matrix`` for W = r I + (1 - r) J / q, in closed form.
+
+    W's singular values are 1 and |r| (q - 1 times), and its rows are pmfs,
+    whose Euclidean norm is at most 1, so the gate is min(1, |r|) <= DET_TOL.
+    """
+    return min(1.0, abs(r)) <= DET_TOL
+
+
+class _DeltaPencil:
+    """The vertex checks of every W = r I + (1 - r) J / q against one V, precomputed.
+
+    With t = 1 / r, B = ``_ones_complement(s)``, c = 1^T V B, G = V B - 1 c / q
+    (rows g_x) and S = G^T G / q, the inverse is W^{-1} = t I - (t - 1) J / q,
+    so A B = t G + 1 c / q and, because 1^T G = 0, the vertex matrix at letter x
+    is the pencil
+
+        M_x = K2_x - t g_x g_x^T + (t - t^2) S,
+        K2_x = B^T diag(V[x]) B - (g_x c^T + c g_x^T) / q - c c^T / q^2
+             = C^T diag(V[x]) C   with C = B - 1 c / q,
+
+    the last form because V[x] sums to one.  One K2_x is stored per letter of
+    ``letters``; S is shared.  A check needs neither A nor an eigenvalue:
+    M_x passes when M_x + tau I, tau = PSD_TOL * max(1, |M_x|_max), has a
+    Cholesky factor, which is the eigenvalue band of ``_vertex_checks`` up to
+    rounding at its edge.  Cholesky reads the lower triangle.
+    """
+
+    def __init__(self, vm: np.ndarray, letters):
+        q = len(vm)
+        basis = _ones_complement(vm.shape[1])
+        vb = vm @ basis
+        mean = vb.mean(axis=0)  # c / q
+        g = vb - mean
+        self.gram = (g.T @ g) / q  # S
+        self.g = g[list(letters)]
+        self.k2 = np.empty((len(self.g),) + self.gram.shape)
+        shifted = basis - mean  # C
+        for k, x in zip(self.k2, letters):
+            np.matmul(shifted.T * vm[x], shifted, out=k)
+        self._order = list(range(len(self.g)))  # the last failing check first
+
+    def matrices(self, t: float):
+        """(i, M_x) at t = 1 / r for the i-th stored letter, in check order."""
+        base = (t - t * t) * self.gram
+        for i in tuple(self._order):
+            m = self.k2[i] + base
+            m -= np.outer(t * self.g[i], self.g[i])
+            yield i, m
+
+    def dominates(self, r: float) -> bool:
+        """Do all the stored checks pass at W = r I + (1 - r) J / q (r nonzero)?"""
+        for i, m in self.matrices(1.0 / r):
+            m.flat[:: len(m) + 1] += PSD_TOL * max(1.0, float(np.abs(m).max()))
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                self._order.remove(i)
+                self._order.insert(0, i)
+                return False
+        return True
 
 
 def less_noisy_exact(w, v) -> DominationVerdict:
@@ -579,13 +645,6 @@ def less_noisy_exact(w, v) -> DominationVerdict:
     )
 
 
-def _vertex_mask(wm: np.ndarray, vms: np.ndarray, letters) -> np.ndarray:
-    """``less_noisy_mask`` for a checked W and stack, with the vertex checks at ``letters``."""
-    if _rows_all_equal(wm):
-        return np.abs(vms - vms[:, :1]).max(axis=(1, 2)) <= 1e-12
-    return _vertex_checks(wm, vms, letters)[2] < 0
-
-
 def less_noisy_mask(w, vms) -> np.ndarray:
     """``less_noisy_exact(w, v).dominates`` for every V of an (n, q, s) stack.
 
@@ -600,7 +659,9 @@ def less_noisy_mask(w, vms) -> np.ndarray:
     vms = np.asarray(vms, dtype=float)
     if vms.ndim != 3 or vms.shape[1] != wm.shape[0]:
         raise ValueError(f"expected a stack of channels with {wm.shape[0]} inputs, got {vms.shape}")
-    return _vertex_mask(wm, vms, range(wm.shape[0]))
+    if _rows_all_equal(wm):
+        return np.abs(vms - vms[:, :1]).max(axis=(1, 2)) <= 1e-12
+    return _vertex_checks(wm, vms, range(wm.shape[0]))[2] < 0
 
 
 def sample_interior_pmf(rng: np.random.Generator, q: int) -> np.ndarray:

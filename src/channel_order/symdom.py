@@ -45,6 +45,7 @@ from .channels import (
     as_pmf,
     pmf_rows,
     symmetric_channel,
+    symmetric_eigenvalue,
     symmetric_matrix,
     symmetric_noise_pmf,
     uniform_pmf,
@@ -53,10 +54,10 @@ from .divergences import eta_tv, kl, maximal_correlation, shannon_entropy
 from .groups import circulant, cyclic_group  # circulant: not called here; bench/tracing.py wraps it
 from .preorders import (
     LP_TOL,
-    SingularChannelError,
     Status,
+    _DeltaPencil,
     _orbit_letters,
-    _vertex_mask,
+    _symmetric_is_singular,
     is_degraded,  # not called here; bench/tracing.py wraps this name
     less_noisy_exact,  # not called here; bench/tracing.py wraps this name
     less_noisy_mask,
@@ -262,14 +263,19 @@ def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
     Monotonicity holds because smaller-parameter symmetric channels degrade to
     larger-parameter ones and the less-noisy order is transitive, so the
     feasible set is an interval [0, delta*].  The bracket starts at the
-    minimum-entry degradation threshold (feasible) and (q-1)/q (the boundary);
-    each probe is the exact vertex test as ``less_noisy_mask`` runs it, with
-    no witness, and needs W_delta invertible (delta below the boundary) but
-    not V.  A probe so close to the boundary that W_delta counts as singular
-    ends the bisection.  W_delta = r I + c J commutes with every permutation,
-    so when V's own symmetry carries letter 0 to every letter (an additive V
-    with distinct noise entries, for one) each probe checks letter 0 alone;
-    V's symmetry is detected once, before the first probe
+    minimum-entry degradation threshold (feasible) and (q-1)/q (the boundary).
+    Each probe is the exact vertex test of ``less_noisy_mask``, with no
+    witness, and needs W_delta invertible (delta below the boundary) but not
+    V.  With r = 1 - delta - delta/(q-1), W_delta = r I + (1 - r) J / q, so
+    its singularity gate is closed form (``preorders._symmetric_is_singular``),
+    and a probe so close to the boundary that W_delta counts as singular ends
+    the bisection.  Every vertex matrix is a quadratic in t = 1/r whose
+    coefficients are computed once per call (``preorders._DeltaPencil``); a
+    probe evaluates them and runs one Cholesky factorization per letter, the
+    letter that failed last first, and builds no channel and solves nothing.
+    W_delta commutes with every permutation, so when V's own symmetry carries
+    letter 0 to every letter (an additive V with distinct noise entries, or a
+    V that is itself r' I + c' J) only letter 0 is checked
     (``preorders._orbit_letters``).  ``tol`` must be positive (NaN is
     rejected).
     """
@@ -283,14 +289,14 @@ def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
     if np.abs(vc.matrix - vc.matrix[0]).max() <= 1e-12:
         return DeltaStarResult(lower=boundary, upper=boundary, iterations=0, bracket_width=0.0)
     probes = []
-    letters = _orbit_letters(vc.matrix)
+    pencil = _DeltaPencil(vc.matrix, _orbit_letters(vc.matrix))
 
     def probe(delta: float) -> Status:
-        try:
-            dominated = _vertex_mask(symmetric_channel(q, delta).matrix, vc.matrix[None], letters)[0]
-            status = Status.DOMINATES if dominated else Status.FAILS
-        except SingularChannelError:
+        r = symmetric_eigenvalue(q, delta)
+        if _symmetric_is_singular(r):
             status = Status.UNDETERMINED
+        else:
+            status = Status.DOMINATES if pencil.dominates(r) else Status.FAILS
         probes.append((delta, status.value))
         return status
 

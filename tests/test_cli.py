@@ -105,7 +105,10 @@ def test_check_less_noisy_exact_dominates(capsys, tmp_path, w02):
     v = write_channel(tmp_path / "v.csv", symmetric_channel(3, 16 / 17))
     code, out, _ = run(capsys, ["check-less-noisy", "--w", w02, "--v", v])
     assert code == 0
-    assert json.loads(out)["certificate"]["kind"] == "vertex_psd"
+    # V = W_{16/17} is r I + c J and commutes with every permutation, so
+    # letter 0 decides alone although its row 0 has ties
+    certificate = json.loads(out)["certificate"]
+    assert certificate["kind"] == "vertex_psd_orbit" and certificate["letter"] == 0
 
 
 def test_check_less_noisy_erasure_witness(capsys, tmp_path, w02):
@@ -167,6 +170,16 @@ def test_check_less_noisy_rejects_a_negative_sample_budget(capsys, tmp_path):
     code, out, err = run(capsys, ["check-less-noisy", "--w", wf, "--v", vf, "--samples", "-3"])
     assert code == 2 and out == ""
     assert "samples" in json.loads(err)["error"]
+
+
+def test_check_less_noisy_rejects_a_negative_budget_before_the_exact_test(capsys, tmp_path, w02):
+    # an invertible W is decided exactly, which once ignored the budget and exited 0
+    v = write_channel(tmp_path / "v.csv", symmetric_channel(3, 0.5))
+    code, out, err = run(capsys, ["check-less-noisy", "--w", w02, "--v", v, "--samples", "-3"])
+    assert code == 2 and out == ""
+    assert "samples" in json.loads(err)["error"]
+    code, _, _ = run(capsys, ["check-less-noisy", "--w", w02, "--v", v, "--samples", "0"])
+    assert code == 0
 
 
 # --- delta-star ------------------------------------------------------------------

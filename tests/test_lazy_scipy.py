@@ -1,8 +1,9 @@
-"""scipy.optimize is imported only when a linear program runs.
+"""No decision path imports scipy; scipy.optimize is imported only when a linear program runs.
 
 Each check runs in a fresh interpreter, because this test process may have
 loaded scipy already.  The script takes a JSON list of CLI argument lists and
-a flag saying whether the last call must load scipy.optimize.
+a flag saying whether the last call must load scipy.optimize; every other
+call must leave every scipy module unloaded.
 """
 
 import json
@@ -21,18 +22,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = """
 import json, sys
 
-def loaded():
-    return "scipy.optimize" in sys.modules
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
 calls, last_loads = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 import channel_order
-assert not loaded(), "import channel_order loaded scipy.optimize"
+assert not scipy_modules(), ("import channel_order", scipy_modules())
 from channel_order.cli import main
 for i, argv in enumerate(calls):
     code = main(argv)
     assert code in (0, 1), (argv, code)
-    expected = last_loads and i == len(calls) - 1
-    assert loaded() == expected, (argv, loaded())
+    if last_loads and i == len(calls) - 1:
+        assert "scipy.optimize" in sys.modules, argv
+    else:
+        assert not scipy_modules(), (argv, scipy_modules())
 """
 
 

@@ -11,6 +11,8 @@ from channel_order.channels import (
     erasure_channel,
     point_mass,
     symmetric_channel,
+    symmetric_eigenvalue,
+    symmetric_matrix,
     symmetric_noise_pmf,
     uniform_pmf,
 )
@@ -23,12 +25,17 @@ from channel_order.preorders import (
     LpProblem,
     SingularChannelError,
     Status,
+    _DeltaPencil,
+    _ones_complement,
     _orbit_letters,
+    _symmetric_is_singular,
     _vertex_checks,
+    _vertex_matrix,
     chi2_violation_pair,
     group_majorizes,
     is_degraded,
     is_degraded_additive,
+    is_singular_channel_matrix,
     less_noisy_exact,
     less_noisy_mask,
     less_noisy_sampled,
@@ -427,6 +434,78 @@ def test_orbit_reduction_needs_a_symmetry_of_v_not_just_rearranged_rows():
     _, minima, failed, _ = _vertex_checks(w.matrix, v.matrix[None], range(5))
     assert minima[0, 0] > 0 and failed[0] == 4
     assert less_noisy_exact(w, v).status is Status.FAILS
+
+
+def test_orbit_reduction_takes_a_v_that_is_r_i_plus_c_j():
+    # r I + c J commutes with every permutation, ties in row 0 or not; a
+    # cyclic V at q = 3 with a tie is of that form only when p[1] == p[2]
+    assert _orbit_letters(symmetric_matrix(3, 0.5)) == range(1)
+    assert _orbit_letters(symmetric_matrix(64, 0.3)) == range(1)
+    assert _orbit_letters(circulant(cyclic_group(3), np.array([0.5, 0.25, 0.25]))) == range(1)
+    assert _orbit_letters(circulant(cyclic_group(3), np.array([0.375, 0.375, 0.25]))) == range(3)
+    w, v = symmetric_channel(3, 0.2), symmetric_channel(3, 0.5)
+    certificate = less_noisy_exact(w, v).certificate
+    assert certificate["kind"] == "vertex_psd_orbit"
+    _, minima, _, _ = _vertex_checks(w.matrix, v.matrix[None], range(3))
+    assert abs(certificate["min_eigenvalue"] - minima[0].min()) <= 1e-12
+
+
+# --- delta pencil ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 8, 64])
+def test_delta_pencil_matches_the_vertex_matrix(q):
+    # M_x(r) from the precomputed coefficients against diag(V[x]) - A^T diag(W[x]) A.
+    # A comes from a solve for r near 1 and mid-range; near the singularity gate
+    # (r = 1e-10) the solve loses ~eps / r^2 (3e-9 relative at r = 1e-9, q = 64),
+    # so there A uses the exact inverse W^{-1} = t I - (t - 1) J / q, t = 1 / r
+    rng = np.random.default_rng(q)
+    v = rng.dirichlet(np.ones(q), size=q)
+    if q > 2:
+        v[-1] = v[0]  # V may be singular (at q = 2 this V would be constant)
+    basis = _ones_complement(q)
+    pencil = _DeltaPencil(v, range(q))
+    for r_target, solve in ((1 - 1e-9, True), (0.5, True), (1e-3, True), (1e-9, False)):
+        delta = (1.0 - r_target) * (q - 1) / q
+        w = symmetric_matrix(q, delta)
+        r = symmetric_eigenvalue(q, delta)
+        t = 1.0 / r
+        a = np.linalg.solve(w, v) if solve else (t * np.eye(q) - (t - 1.0) / q) @ v
+        matrices = dict(pencil.matrices(t))
+        assert sorted(matrices) == list(range(q))
+        for x in range(q):
+            expected = _vertex_matrix(basis, a @ basis, w[x], v[x])
+            scale = max(1.0, float(np.abs(expected).max()))
+            assert np.abs(matrices[x] - expected).max() <= 1e-12 * scale, (r_target, x)
+
+
+def test_delta_pencil_tries_the_last_failing_letter_first():
+    # at W_0.1 only letter 4 fails this V; once it has failed it is checked first
+    v = np.random.default_rng(3).dirichlet(np.ones(5), size=5)
+    _, minima, failed, _ = _vertex_checks(symmetric_matrix(5, 0.1), v[None], range(5))
+    assert failed[0] == 4 and (minima[0, :4] > 0).all()
+    pencil = _DeltaPencil(v, range(5))
+    r = symmetric_eigenvalue(5, 0.1)
+    assert [i for i, _ in pencil.matrices(1.0 / r)] == [0, 1, 2, 3, 4]
+    assert not pencil.dominates(r)
+    assert [i for i, _ in pencil.matrices(1.0 / r)] == [4, 0, 1, 2, 3]
+    assert not pencil.dominates(r)
+    assert pencil.dominates(symmetric_eigenvalue(5, 0.0))
+
+
+@pytest.mark.parametrize("q", [2, 3, 8, 64])
+def test_symmetric_gate_matches_the_svd_gate(q):
+    # min(1, |r|) <= DET_TOL against the smallest singular value of W_delta,
+    # for delta within 1e-8 of the boundary (q-1)/q on either side
+    boundary = (q - 1) / q
+    offsets = [0.0] + [sign * 10.0**k for k in np.linspace(-16, -8, 33) for sign in (1, -1)]
+    singular = []
+    for offset in offsets:
+        delta = boundary + offset
+        closed = _symmetric_is_singular(symmetric_eigenvalue(q, delta))
+        assert closed == is_singular_channel_matrix(symmetric_matrix(q, delta)), offset
+        singular.append(closed)
+    assert any(singular) and not all(singular)
 
 
 # --- less noisy: sampled -----------------------------------------------------------

@@ -19,6 +19,11 @@ The orbit reduction (one vertex check for an additive V against W_delta) is
 checked against the same per-letter loop, on additive V over cyclic and
 product groups, relabelled or not, with a tied noise entry, with one entry
 moved by one ulp, and against a W outside the family r I + c J.
+
+``delta_star``'s probes, which evaluate precomputed vertex matrices and
+factor them by Cholesky, are checked against the probe loop it once ran:
+build W_delta, gate it by its singular values, solve for A and take
+``eigvalsh`` at every letter (``less_noisy_mask``).
 """
 
 import numpy as np
@@ -40,6 +45,7 @@ from channel_order.preorders import (
     DivergencePairWitness,
     LoewnerWitness,
     LpProblem,
+    SingularChannelError,
     Status,
     chi2_violation_pair,
     convex_hull_membership,
@@ -59,8 +65,10 @@ from channel_order.preorders import (
 from channel_order.symdom import (
     circle_radius,
     classify_noise_pmfs,
+    delta_star,
     extremal_degraded_tau,
     ln_gamma_bound,
+    min_entry_delta_lower,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -215,9 +223,12 @@ def test_orbit_reduction_matches_the_per_letter_loop(case):
     wm, vm = w.matrix, v.matrix
     q = len(wm)
     letters = _orbit_letters(vm) if _commutes_with_permutations(wm) else range(q)
-    # fires on every unperturbed V whose noise entries are distinct, and only there
+    # fires on every unperturbed V whose noise entries are distinct, and on a V
+    # that is itself r I + c J (a tie at q = 3 can give one), and only there
     distinct = np.unique(vm[0]).size == q
-    assert (len(letters) == 1) == (perturbation == "none" and distinct)
+    off_diagonal = vm[~np.eye(q, dtype=bool)]
+    symmetric = np.unique(np.diag(vm)).size == 1 and np.unique(off_diagonal).size <= 1
+    assert (len(letters) == 1) == (perturbation != "w" and (symmetric or (perturbation == "none" and distinct)))
     status, minima, failed, scales = _per_letter_vertex_checks(wm, vm)
     _, checked, checked_failed, _ = _vertex_checks(wm, vm[None], letters)
     assert int(checked_failed[0]) == failed
@@ -370,3 +381,69 @@ def test_batched_classifier_matches_per_point_reference(case):
     q, delta, stack = case
     labels = classify_noise_pmfs(q, delta, stack)
     assert labels == [_reference_label(q, delta, p) for p in stack]
+
+
+@st.composite
+def delta_star_channels(draw):
+    """(V, tol): square V at q <= 8, random with zero entries, additive, r I + c J,
+    with a repeated row, or within 1e-11..1e-3 of the constant channel."""
+    q = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "additive", "symmetric", "repeated", "near_constant")))
+    if kind == "random":
+        v = rng.dirichlet(np.ones(q), size=q) * (rng.random((q, q)) < 0.8)
+        v[rng.permutation(q), np.arange(q)] += 0.05  # no dead column, no zero row
+    elif kind == "additive":
+        v = circulant(cyclic_group(q), rng.dirichlet(np.ones(q)))
+    elif kind == "symmetric":
+        v = symmetric_channel(q, draw(st.floats(0.0, 1.0))).matrix
+    elif kind == "repeated":
+        v = rng.dirichlet(np.ones(q), size=q)
+        v[-1] = v[0]
+    else:
+        eps = 10.0 ** draw(st.floats(-11.0, -3.0))
+        v = 1.0 / q + eps * (rng.dirichlet(np.ones(q), size=q) - 1.0 / q)
+    v = v / v.sum(axis=1, keepdims=True)
+    return Channel(v), draw(st.sampled_from((1e-2, 1e-4, 1e-7)))
+
+
+def _old_delta_star(v: Channel, tol: float):
+    """delta_star's bisection with its former probe: the full vertex test on W_delta."""
+    q, vm = v.rows, v.matrix
+    boundary = (q - 1) / q
+    if np.abs(vm - vm[0]).max() <= 1e-12:
+        return boundary, boundary, 0, ()
+    probes = []
+
+    def probe(delta):
+        try:
+            dominated = less_noisy_mask(symmetric_channel(q, delta), vm[None])[0]
+            status = "dominates" if dominated else "fails"
+        except SingularChannelError:
+            status = "undetermined"
+        probes.append((delta, status))
+        return status
+
+    lower = min_entry_delta_lower(v)
+    if lower > 0.0 and probe(lower) != "dominates":
+        lower = 0.0
+    upper, iterations = boundary, 0
+    while upper - lower > tol and iterations < 200:
+        iterations += 1
+        mid = 0.5 * (lower + upper)
+        status = probe(mid)
+        if status == "dominates":
+            lower = mid
+        elif status == "fails":
+            upper = mid
+        else:
+            break
+    return lower, upper, iterations, tuple(probes)
+
+
+@PROPERTY_SETTINGS
+@given(delta_star_channels())
+def test_delta_star_probes_match_the_old_probe_loop(case):
+    v, tol = case
+    result = delta_star(v, tol=tol)
+    assert (result.lower, result.upper, result.iterations, result.probes) == _old_delta_star(v, tol)
