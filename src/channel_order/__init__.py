@@ -61,7 +61,6 @@ from .preorders import (
     DivergencePairWitness,
     DominationVerdict,
     LoewnerWitness,
-    LpProblem,
     SingularChannelError,
     Status,
     chi2_violation_pair,
@@ -72,6 +71,7 @@ from .preorders import (
     less_noisy_sampled,
     loewner_gap,
     majorizes,
+    phase_one,
     psd_check,
 )
 from .symdom import (

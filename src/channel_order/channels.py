@@ -22,6 +22,7 @@ from .groups import FiniteAbelianGroup, circulant
 # worse is rejected.
 SUM_TOL = 1e-12
 RENORM_TOL = 1e-9
+COLUMN_SUM_TOL = 1e-9  # doubly stochastic: every column sums to 1 within it
 
 
 def pmf_rows(m) -> np.ndarray:
@@ -60,9 +61,9 @@ class Pmf:
     def __len__(self) -> int:
         return self.probs.size
 
-    def is_interior(self, tol: float = 0.0) -> bool:
-        """True when every entry is strictly positive (margin ``tol``)."""
-        return bool(np.all(self.probs > tol))
+    def is_interior(self) -> bool:
+        """True when every entry is strictly positive."""
+        return bool(np.all(self.probs > 0.0))
 
 
 def as_pmf(p) -> Pmf:
@@ -103,13 +104,11 @@ class Channel:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    def is_doubly_stochastic(self, tol: float = 1e-12) -> bool:
+    def is_doubly_stochastic(self) -> bool:
+        """Square, with every column summing to 1 within COLUMN_SUM_TOL."""
         if self.rows != self.cols:
             return False
-        return bool(np.all(np.abs(self.matrix.sum(axis=0) - 1.0) <= tol))
-
-    def row(self, x: int) -> np.ndarray:
-        return self.matrix[x]
+        return bool(np.all(np.abs(self.matrix.sum(axis=0) - 1.0) <= COLUMN_SUM_TOL))
 
 
 def as_channel(w) -> Channel:

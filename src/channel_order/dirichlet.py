@@ -20,14 +20,12 @@ from .channels import as_channel, as_pmf, symmetric_matrix
 from .divergences import kl
 from .preorders import psd_check
 
-DS_TOL = 1e-9  # column-sum tolerance when validating doubly stochastic inputs
-
 
 def _doubly_stochastic_matrix(v, name: str = "channel") -> np.ndarray:
-    m = as_channel(v).matrix
-    if m.shape[0] != m.shape[1] or np.abs(m.sum(axis=0) - 1.0).max() > DS_TOL:
+    channel = as_channel(v)
+    if not channel.is_doubly_stochastic():
         raise ValueError(f"{name} must be doubly stochastic")
-    return m
+    return channel.matrix
 
 
 def dirichlet_form(v, f) -> float:
@@ -84,10 +82,13 @@ def discrete_lsi_constant_symmetric(q: int, delta: float) -> float:
     return lsi_constant_symmetric(q, delta_prime)
 
 
-def lsi_functional(f, tol: float = 1e-9) -> float:
-    """Relative entropy D(f^2 u || u) = (1/q) sum f_k^2 log f_k^2 for normalized f."""
+def lsi_functional(f) -> float:
+    """Relative entropy D(f^2 u || u) = (1/q) sum f_k^2 log f_k^2 for normalized f.
+
+    f must satisfy (1/q) sum f_k^2 = 1 within 1e-9 (NaN is rejected).
+    """
     fv = np.asarray(f, dtype=float).reshape(-1)
-    if abs(float(np.mean(fv**2)) - 1.0) > tol:
+    if not abs(float(np.mean(fv**2)) - 1.0) <= 1e-9:
         raise ValueError("f must satisfy (1/q) sum f_k^2 = 1")
     sq = fv**2
     support = sq > 0
@@ -163,7 +164,7 @@ def dirichlet_domination_check(w, v, kind: str, delta: float | None = None) -> b
     if kind == "standard":
         q = wm.shape[0]
         inferred = _infer_symmetric_delta(wm)
-        if delta is not None and abs(delta - inferred) > 1e-9:
+        if delta is not None and not abs(delta - inferred) <= 1e-9:
             raise ValueError(f"W is the symmetric channel at {inferred}, not {delta}")
         if not 0.0 <= inferred <= (q - 1) / q + 1e-12:
             raise ValueError("standard-form comparison needs delta in [0, (q-1)/q]")

@@ -57,6 +57,8 @@ from .groups import FiniteAbelianGroup, circulant
 LP_TOL = 1e-9
 PSD_TOL = 1e-9
 DET_TOL = 1e-10
+ENTRY_TOL = 1e-12  # majorization partial sums, constant-row and identity tests
+DIVERGENCE_TOL = 1e-11  # slack of the KL and chi-squared pair inequalities
 INTERIOR_MIX = 1e-6
 
 
@@ -81,7 +83,8 @@ class LoewnerWitness:
     At the strictly positive input pmf ``pmf``, ``direction`` is an
     eigenvector of W D_{pW}^{-1} W^T - V D_{pV}^{-1} V^T with eigenvalue
     ``eigenvalue`` < 0.  Both the exact and the sampled test report this
-    form; ``vertex`` is always None and is kept for readers of the field.
+    form.  ``vertex`` is always None; it stays because ``bench/workloads.py``
+    reads it, until the benchmark is brought up to date (ROADMAP item 1).
     """
 
     eigenvalue: float
@@ -146,7 +149,7 @@ def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call.
 
     Importing scipy.optimize costs more than everything else a CLI call
-    does, and only the LP fallbacks need it.  ``LpProblem`` looks this name
+    does, and only the LP fallbacks need it.  ``phase_one`` looks this name
     up at call time, so it can be wrapped as a module attribute.
     """
     from scipy.optimize import linprog as scipy_linprog
@@ -154,54 +157,35 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-@dataclass(frozen=True)
-class LpProblem:
-    """Feasibility of ``a_eq x = b_eq`` with ``x >= 0``.
+def phase_one(a_eq: np.ndarray, b_eq: np.ndarray) -> tuple[bool, Optional[np.ndarray], float]:
+    """Feasibility of ``a_eq x = b_eq`` with ``x >= 0``: (feasible, x or None, optimum).
 
     Feasibility is decided by the phase-one objective (the minimal total
-    artificial slack); the problem is feasible iff that optimum is <= lp_tol,
+    artificial slack); the problem is feasible iff that optimum is <= LP_TOL,
     and the phase-one point is the solution returned.  Solved with scipy's
     HiGHS backend, which is deterministic on these small dense instances.
     Only the cases without a unique candidate solution come here: degradation
     from a non-square or singular W, majorization by a group whose circulant
     is singular, and hull membership.
     """
-
-    a_eq: np.ndarray = field(repr=False)
-    b_eq: np.ndarray = field(repr=False)
-
-    def phase_one(self) -> tuple[float, np.ndarray]:
-        """Return (phase-one optimum, primal point)."""
-        a, b = self.a_eq, self.b_eq
-        m, n = a.shape
-        sign = np.where(b < 0.0, -1.0, 1.0)
-        a1 = np.hstack([a * sign[:, None], np.eye(m)])
-        c = np.concatenate([np.zeros(n), np.ones(m)])
-        res = linprog(c, A_eq=a1, b_eq=b * sign, bounds=(0, None), method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"phase-one LP did not solve: {res.message}")
-        return float(res.fun), res.x[:n]
-
-    def solve(self, lp_tol: float = LP_TOL) -> tuple[bool, Optional[np.ndarray], float]:
-        """Return (feasible, x or None, phase-one optimum)."""
-        optimum, x = self.phase_one()
-        feasible = optimum <= lp_tol
-        return feasible, x if feasible else None, optimum
+    m, n = a_eq.shape
+    sign = np.where(b_eq < 0.0, -1.0, 1.0)
+    a1 = np.hstack([a_eq * sign[:, None], np.eye(m)])
+    c = np.concatenate([np.zeros(n), np.ones(m)])
+    res = linprog(c, A_eq=a1, b_eq=b_eq * sign, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"phase-one LP did not solve: {res.message}")
+    optimum = float(res.fun)
+    feasible = optimum <= LP_TOL
+    return feasible, res.x[:n] if feasible else None, optimum
 
 
 def convex_hull_membership(
-    points: np.ndarray, target: np.ndarray, lp_tol: float = LP_TOL
+    points: np.ndarray, target: np.ndarray
 ) -> tuple[bool, Optional[np.ndarray]]:
-    """Membership of ``target`` in the convex hull of the rows of ``points``.
-
-    Returns (member, convex weights or None).
-    """
-    k = points.shape[0]
-    problem = LpProblem(
-        a_eq=np.vstack([points.T, np.ones((1, k))]),
-        b_eq=np.concatenate([target, [1.0]]),
-    )
-    feasible, weights, _ = problem.solve(lp_tol)
+    """Is ``target`` in the convex hull of the rows of ``points``?  (member, weights or None)."""
+    a_eq = np.vstack([points.T, np.ones(len(points))])
+    feasible, weights, _ = phase_one(a_eq, np.append(target, 1.0))
     return feasible, weights
 
 
@@ -210,36 +194,36 @@ def convex_hull_membership(
 # ---------------------------------------------------------------------------
 
 
-def majorizes(x, y, tol: float = 1e-12) -> bool:
+def majorizes(x, y) -> bool:
     """True when x majorizes y: ascending partial sums of x never exceed y's.
 
     Equivalently, y lies in the convex hull of the permutations of x.  Inputs
-    must have equal sums (within 1e-9).
+    must have equal sums (within 1e-9; a NaN sum is rejected).
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if xv.size != yv.size:
         raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
-    if abs(xv.sum() - yv.sum()) > 1e-9:
+    if not abs(xv.sum() - yv.sum()) <= 1e-9:
         raise ValueError(f"sums differ: {xv.sum()} vs {yv.sum()}")
-    return bool(majorized_rows(xv, yv[None, :], tol)[0])
+    return bool(majorized_rows(xv, yv[None, :])[0])
 
 
-def majorized_rows(x: np.ndarray, ys: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def majorized_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``majorizes(x, y)`` for every row y of ``ys``, without the input checks."""
     xs = np.cumsum(np.sort(x))
     partial = np.cumsum(np.sort(ys, axis=1), axis=1)
-    return np.all(xs[:-1] <= partial[:, :-1] + tol, axis=1)
+    return np.all(xs[:-1] <= partial[:, :-1] + ENTRY_TOL, axis=1)
 
 
-def group_majorizes(group: FiniteAbelianGroup, x, y, lp_tol: float = LP_TOL) -> DominationVerdict:
+def group_majorizes(group: FiniteAbelianGroup, x, y) -> DominationVerdict:
     """Does x group-majorize y, i.e. is y a convex combination of x's group orbit?
 
     Decided as feasibility of y = x . circulant(lam) over pmfs lam; a
     Dominates verdict carries the convex weights lam.  When circulant(x) is
     invertible lam is unique and one solve finds it: x majorizes y iff lam's
     entries are >= -tol and its sum is 1 within tol, with
-    tol = lp_tol * max(1, |lam|_max).  A singular circulant goes to the LP.
+    tol = LP_TOL * max(1, |lam|_max).  A singular circulant goes to the LP.
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
@@ -250,10 +234,10 @@ def group_majorizes(group: FiniteAbelianGroup, x, y, lp_tol: float = LP_TOL) -> 
     # the orbit rows of circ(x), with lam the convex weights
     orbit = circulant(group, xv)
     if is_singular_channel_matrix(orbit):
-        feasible, lam = convex_hull_membership(orbit, yv, lp_tol)
+        feasible, lam = convex_hull_membership(orbit, yv)
     else:
         lam = np.linalg.solve(orbit.T, yv)
-        tol = lp_tol * max(1.0, float(np.abs(lam).max()))
+        tol = LP_TOL * max(1.0, float(np.abs(lam).max()))
         feasible = lam.min() >= -tol and abs(lam.sum() - 1.0) <= tol
     if not feasible:
         return _fails(witness={"kind": "infeasible", "x": xv, "y": yv})
@@ -265,11 +249,11 @@ def group_majorizes(group: FiniteAbelianGroup, x, y, lp_tol: float = LP_TOL) -> 
 # ---------------------------------------------------------------------------
 
 
-def is_degraded(w, v, lp_tol: float = LP_TOL) -> DominationVerdict:
+def is_degraded(w, v) -> DominationVerdict:
     """Is V a degraded version of W, i.e. V = W A for some channel A?
 
     For a square invertible W, A = W^{-1} V is the only candidate and its
-    rows sum to one, so V is degraded iff A >= -lp_tol * max(1, |A|_max).  A
+    rows sum to one, so V is degraded iff A >= -LP_TOL * max(1, |A|_max).  A
     Fails verdict then names A's most negative entry (kind
     "negative_kernel_entry"), which one solve re-checks.  A non-square or
     singular W leaves an LP in the entries of A (row sums one, nonnegative),
@@ -284,7 +268,7 @@ def is_degraded(w, v, lp_tol: float = LP_TOL) -> DominationVerdict:
         kernel = np.linalg.solve(wm, vm)
         row, col = np.unravel_index(np.argmin(kernel), kernel.shape)
         value = float(kernel[row, col])
-        if value < -lp_tol * max(1.0, float(np.abs(kernel).max())):
+        if value < -LP_TOL * max(1.0, float(np.abs(kernel).max())):
             return _fails(
                 witness={"kind": "negative_kernel_entry", "row": int(row), "col": int(col), "value": value}
             )
@@ -293,7 +277,7 @@ def is_degraded(w, v, lp_tol: float = LP_TOL) -> DominationVerdict:
         # unknowns A flattened row-major: W A = V row by row, then A's row sums
         a_eq = np.vstack([np.kron(wm, np.eye(s)), np.kron(np.eye(r), np.ones((1, s)))])
         b_eq = np.concatenate([vm.ravel(), np.ones(r)])
-        feasible, x, optimum = LpProblem(a_eq=a_eq, b_eq=b_eq).solve(lp_tol)
+        feasible, x, optimum = phase_one(a_eq, b_eq)
         if not feasible:
             return _fails(witness={"kind": "infeasible", "phase_one_optimum": optimum})
         kernel = x.reshape(r, s)
@@ -301,13 +285,13 @@ def is_degraded(w, v, lp_tol: float = LP_TOL) -> DominationVerdict:
     return _dominates(certificate={"kind": "kernel", "matrix": kernel, "residual": residual})
 
 
-def is_degraded_additive(group: FiniteAbelianGroup, w, v, lp_tol: float = LP_TOL) -> DominationVerdict:
+def is_degraded_additive(group: FiniteAbelianGroup, w, v) -> DominationVerdict:
     """Degradation between the additive channels of noise pmfs w and v.
 
     For additive channels the degrading kernel can be taken additive as well,
     so this is exactly group majorization of the noise pmfs.
     """
-    return group_majorizes(group, as_pmf(w).probs, as_pmf(v).probs, lp_tol)
+    return group_majorizes(group, as_pmf(w).probs, as_pmf(v).probs)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +299,31 @@ def is_degraded_additive(group: FiniteAbelianGroup, w, v, lp_tol: float = LP_TOL
 # ---------------------------------------------------------------------------
 
 
-def psd_check(m, tol: float = PSD_TOL) -> tuple[bool, float, np.ndarray]:
+def _psd_floor(m: np.ndarray):
+    """The PSD band -PSD_TOL * max(1, |M|_max) per matrix of a stack; eigenvalues >= it pass."""
+    return -PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+
+
+def _passes_by_cholesky(m: np.ndarray) -> bool:
+    """``psd_check``'s verdict on a symmetric M, without an eigenvalue.
+
+    M passes when M - floor I has a Cholesky factor, which is the eigenvalue
+    band up to rounding at its edge.  Cholesky reads the lower triangle.
+    Overwrites M's diagonal.
+    """
+    m.flat[:: len(m) + 1] -= _psd_floor(m)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def psd_check(m) -> tuple[bool, float, np.ndarray]:
     """Is the (symmetrized) matrix positive semidefinite?
 
     Returns (verdict, smallest eigenvalue, its eigenvector).  The tolerance is
-    relative: negative eigenvalues above -tol * max(1, |m|_max) pass.
+    relative: eigenvalues at or above ``_psd_floor`` pass.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -330,7 +334,7 @@ def psd_check(m, tol: float = PSD_TOL) -> tuple[bool, float, np.ndarray]:
     eigenvalues, eigenvectors = np.linalg.eigh(a)
     lam = float(eigenvalues[0])
     vec = eigenvectors[:, 0]
-    return lam >= -tol * max(1.0, float(np.abs(a).max())), lam, vec
+    return bool(lam >= _psd_floor(a)), lam, vec
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +342,13 @@ def psd_check(m, tol: float = PSD_TOL) -> tuple[bool, float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _rows_all_equal(m: np.ndarray) -> bool:
-    return bool(np.abs(m - m[0]).max() <= 1e-12)
+def _rows_all_equal(m: np.ndarray):
+    """Are all rows within ENTRY_TOL of the first?  One bool per matrix of a stack."""
+    return np.abs(m - m[..., :1, :]).max(axis=(-2, -1)) <= ENTRY_TOL
 
 
 def _is_identity(m: np.ndarray) -> bool:
-    return m.shape[0] == m.shape[1] and bool(np.abs(m - np.eye(m.shape[0])).max() <= 1e-12)
+    return m.shape[0] == m.shape[1] and bool(np.abs(m - np.eye(m.shape[0])).max() <= ENTRY_TOL)
 
 
 def _shortcut(wm: np.ndarray, vm: np.ndarray) -> Optional[DominationVerdict]:
@@ -355,28 +360,22 @@ def _shortcut(wm: np.ndarray, vm: np.ndarray) -> Optional[DominationVerdict]:
     if _is_identity(wm):
         return _dominates(certificate="identity channel dominates every channel")
     if _rows_all_equal(wm):
-        x, y = _first_differing_rows(vm)
-        p, q = point_mass(vm.shape[0], x), point_mass(vm.shape[0], y)
+        # y is V's first row that differs from row 0: the first non-constant pair (V[0], V[y])
+        pairs = np.stack([np.broadcast_to(vm[0], vm.shape), vm], axis=1)
+        y = int(np.argmin(_rows_all_equal(pairs)))
         return _fails(
             witness=DivergencePairWitness(
-                p=p.probs,
-                q=q.probs,
+                p=point_mass(len(vm), 0).probs,
+                q=point_mass(len(vm), y).probs,
                 divergence="kl",
                 lhs=0.0,
-                rhs=float(kl(Pmf(vm[x]), Pmf(vm[y]))),
+                rhs=float(kl(Pmf(vm[0]), Pmf(vm[y]))),
             )
         )
     return None
 
 
-def _first_differing_rows(m: np.ndarray) -> tuple[int, int]:
-    for i in range(1, m.shape[0]):
-        if np.abs(m[i] - m[0]).max() > 1e-12:
-            return 0, i
-    raise AssertionError("rows are all equal")
-
-
-def is_singular_channel_matrix(m: np.ndarray, tol: float = DET_TOL) -> bool:
+def is_singular_channel_matrix(m: np.ndarray) -> bool:
     """Singularity gate for square channels, by smallest singular value.
 
     Relative to row-norm scale; a determinant test would underflow at desk
@@ -384,7 +383,7 @@ def is_singular_channel_matrix(m: np.ndarray, tol: float = DET_TOL) -> bool:
     well-conditioned matrices.
     """
     sv = np.linalg.svd(m, compute_uv=False)
-    return bool(sv[-1] <= tol * max(1.0, float(np.linalg.norm(m, axis=1).max())))
+    return bool(sv[-1] <= DET_TOL * max(1.0, float(np.linalg.norm(m, axis=1).max())))
 
 
 @lru_cache(maxsize=None)
@@ -401,6 +400,12 @@ def _loewner(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (m / (p @ m)) @ m.T
 
 
+def _loewner_difference(wm: np.ndarray, vm: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The symmetrized W D_{pW}^{-1} W^T - V D_{pV}^{-1} V^T, PSD iff the comparison holds at p."""
+    diff = _loewner(wm, p) - _loewner(vm, p)
+    return 0.5 * (diff + diff.T)
+
+
 def _support_witness(wm: np.ndarray, vm: np.ndarray) -> Optional[DivergencePairWitness]:
     """The input pair (uniform, e_x) when W[x] has full support and V[x] does not.
 
@@ -412,9 +417,7 @@ def _support_witness(wm: np.ndarray, vm: np.ndarray) -> Optional[DivergencePairW
     if rows.size == 0:
         return None
     n = wm.shape[0]
-    return _divergence_pair_violation(
-        wm, vm, uniform_pmf(n).probs, point_mass(n, int(rows[0])).probs, tol=1e-11
-    )
+    return _divergence_pair_violation(wm, vm, uniform_pmf(n).probs, point_mass(n, rows[0]).probs)
 
 
 def _interior_witness(
@@ -438,8 +441,7 @@ def _interior_witness(
     s = 0.5 if at_uniform <= 0.0 else 0.5 * lam / (lam - at_uniform)
     p = s * uniform
     p[x] += 1.0 - s
-    diff = _loewner(wm, p) - _loewner(vm, p)
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (diff + diff.T))
+    eigenvalues, eigenvectors = np.linalg.eigh(_loewner_difference(wm, vm, p))
     return LoewnerWitness(eigenvalue=float(eigenvalues[0]), direction=eigenvectors[:, 0], pmf=p)
 
 
@@ -509,7 +511,7 @@ def _vertex_checks(wm: np.ndarray, vms: np.ndarray, letters):
 
     Solves A = W^{-1} V for the stack once, then per input letter x runs one
     stacked ``eigvalsh`` of the symmetrized M = diag(V[x]) - A^T diag(W[x]) A;
-    a check fails below -PSD_TOL * max(1, |M|_max).  Stops once every V has
+    a check fails below ``_psd_floor``.  Stops once every V has
     failed.  Returns (A, vertex minima, first failing letter, the last M):
     minima has one column per entry of ``letters``, NaN where unchecked, and
     the letter is -1 where all pass; a single failing V's last M is its
@@ -525,7 +527,7 @@ def _vertex_checks(wm: np.ndarray, vms: np.ndarray, letters):
         m = _vertex_matrix(basis, ab, wm[x], vms[:, x])
         m = 0.5 * (m + np.swapaxes(m, 1, 2))
         minima[:, i] = np.linalg.eigvalsh(m)[:, 0]
-        bad = minima[:, i] < -PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        bad = minima[:, i] < _psd_floor(m)
         failed[bad & (failed < 0)] = x
         if (failed >= 0).all():
             break
@@ -554,10 +556,8 @@ class _DeltaPencil:
              = C^T diag(V[x]) C   with C = B - 1 c / q,
 
     the last form because V[x] sums to one.  One K2_x is stored per letter of
-    ``letters``; S is shared.  A check needs neither A nor an eigenvalue:
-    M_x passes when M_x + tau I, tau = PSD_TOL * max(1, |M_x|_max), has a
-    Cholesky factor, which is the eigenvalue band of ``_vertex_checks`` up to
-    rounding at its edge.  Cholesky reads the lower triangle.
+    ``letters``; S is shared.  A check needs neither A nor an eigenvalue: it
+    is ``_passes_by_cholesky``.
     """
 
     def __init__(self, vm: np.ndarray, letters):
@@ -585,10 +585,7 @@ class _DeltaPencil:
     def dominates(self, r: float) -> bool:
         """Do all the stored checks pass at W = r I + (1 - r) J / q (r nonzero)?"""
         for i, m in self.matrices(1.0 / r):
-            m.flat[:: len(m) + 1] += PSD_TOL * max(1.0, float(np.abs(m).max()))
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
+            if not _passes_by_cholesky(m):
                 self._order.remove(i)
                 self._order.insert(0, i)
                 return False
@@ -660,7 +657,7 @@ def less_noisy_mask(w, vms) -> np.ndarray:
     if vms.ndim != 3 or vms.shape[1] != wm.shape[0]:
         raise ValueError(f"expected a stack of channels with {wm.shape[0]} inputs, got {vms.shape}")
     if _rows_all_equal(wm):
-        return np.abs(vms - vms[:, :1]).max(axis=(1, 2)) <= 1e-12
+        return _rows_all_equal(vms)
     return _vertex_checks(wm, vms, range(wm.shape[0]))[2] < 0
 
 
@@ -671,7 +668,7 @@ def sample_interior_pmf(rng: np.random.Generator, q: int) -> np.ndarray:
 
 
 def _divergence_pair_violation(
-    wm: np.ndarray, vm: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float
+    wm: np.ndarray, vm: np.ndarray, p: np.ndarray, q: np.ndarray
 ) -> Optional[DivergencePairWitness]:
     """Check the KL and chi-squared inequalities on one input pair."""
     pw, qw = Pmf(p @ wm), Pmf(q @ wm)
@@ -680,7 +677,7 @@ def _divergence_pair_violation(
         lhs, rhs = fn(pw, qw), fn(pv, qv)
         # infinity >= infinity is fine; a finite lhs below an infinite or
         # larger rhs refutes domination
-        if rhs > lhs + tol:
+        if rhs > lhs + DIVERGENCE_TOL:
             return DivergencePairWitness(
                 p=p, q=q, divergence=name, lhs=float(lhs), rhs=float(rhs)
             )
@@ -723,7 +720,7 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
     # (uniform, point mass) under an erasure channel
     for p_arr, q_arr in _special_pairs(q):
         used += 1
-        bad = _divergence_pair_violation(wm, vm, p_arr, q_arr, tol=1e-11)
+        bad = _divergence_pair_violation(wm, vm, p_arr, q_arr)
         if bad is not None:
             return _fails(witness=bad, samples_used=used)
 
@@ -753,7 +750,7 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
                 witness=LoewnerWitness(eigenvalue=lam, direction=vec, pmf=p), samples_used=used
             )
         q_arr = sample_interior_pmf(rng, q)
-        bad = _divergence_pair_violation(wm, vm, p, q_arr, tol=1e-11)
+        bad = _divergence_pair_violation(wm, vm, p, q_arr)
         if bad is not None:
             return _fails(witness=bad, samples_used=used)
     return _undetermined(samples_used=used)
@@ -771,8 +768,7 @@ def loewner_gap(w, v, p) -> float:
         raise ValueError("dimension mismatch")
     if np.any(pv <= 0):
         raise ValueError("input pmf must be strictly interior")
-    diff = _loewner(wc.matrix, pv) - _loewner(vc.matrix, pv)
-    return float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
+    return float(np.linalg.eigvalsh(_loewner_difference(wc.matrix, vc.matrix, pv))[0])
 
 
 def chi2_violation_pair(w, v, witness: LoewnerWitness) -> tuple[np.ndarray, np.ndarray, float]:
@@ -793,8 +789,7 @@ def chi2_violation_pair(w, v, witness: LoewnerWitness) -> tuple[np.ndarray, np.n
         q_arr = (1.0 - s) * base + s * u
         if np.any(q_arr <= 0):
             continue
-        diff = _loewner(wm, q_arr) - _loewner(vm, q_arr)
-        diff = 0.5 * (diff + diff.T)
+        diff = _loewner_difference(wm, vm, q_arr)
         eigenvalues, eigenvectors = np.linalg.eigh(diff)
         if eigenvalues[0] >= -1e-13 * max(1.0, np.abs(diff).max()):
             continue

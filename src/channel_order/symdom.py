@@ -57,6 +57,7 @@ from .preorders import (
     Status,
     _DeltaPencil,
     _orbit_letters,
+    _rows_all_equal,
     _symmetric_is_singular,
     is_degraded,  # not called here; bench/tracing.py wraps this name
     less_noisy_exact,  # not called here; bench/tracing.py wraps this name
@@ -286,7 +287,7 @@ def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     boundary = (q - 1) / q
-    if np.abs(vc.matrix - vc.matrix[0]).max() <= 1e-12:
+    if _rows_all_equal(vc.matrix):
         return DeltaStarResult(lower=boundary, upper=boundary, iterations=0, bracket_width=0.0)
     probes = []
     pencil = _DeltaPencil(vc.matrix, _orbit_letters(vc.matrix))

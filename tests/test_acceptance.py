@@ -84,9 +84,9 @@ def test_criterion_01_symmetric_pair_degradation_interval():
                 w = symmetric_channel(q, delta)
                 tau = extremal_degraded_tau(q, delta)
                 for gamma in np.linspace(delta, tau, 50):
-                    verdict = is_degraded(w, symmetric_channel(q, gamma), lp_tol=1e-9)
+                    verdict = is_degraded(w, symmetric_channel(q, gamma))
                     assert verdict.dominates, (q, delta, gamma)
-                beyond = is_degraded(w, symmetric_channel(q, tau + 0.01), lp_tol=1e-9)
+                beyond = is_degraded(w, symmetric_channel(q, tau + 0.01))
                 assert beyond.status is Status.FAILS, (q, delta)
         assert time.monotonic() - start < 10.0
 
@@ -112,9 +112,9 @@ def test_criterion_03_min_entry_threshold_tightness():
                 v = min_entry_tight_channel(q, nu)
                 threshold = nu / (1 - (q - 1) * nu + nu / (q - 1))
                 assert min_entry_delta_lower(v) == pytest.approx(threshold, abs=1e-12)
-                at = is_degraded(symmetric_channel(q, threshold), v, lp_tol=1e-9)
+                at = is_degraded(symmetric_channel(q, threshold), v)
                 assert at.dominates, (q, nu)
-                beyond = is_degraded(symmetric_channel(q, 1.001 * threshold), v, lp_tol=1e-9)
+                beyond = is_degraded(symmetric_channel(q, 1.001 * threshold), v)
                 assert beyond.status is Status.FAILS, (q, nu)
 
 

@@ -24,6 +24,7 @@ from channel_order.channels import (
     symmetric_noise_pmf,
     uniform_pmf,
 )
+from channel_order.dirichlet import dirichlet_form
 from channel_order.groups import cyclic_group, direct_product
 
 
@@ -89,6 +90,15 @@ def test_channel_rejects_bad_rows():
 def test_doubly_stochastic_predicate():
     assert symmetric_channel(3, 0.2).is_doubly_stochastic()
     assert not erasure_channel(3, 0.5).is_doubly_stochastic()
+    # rows are pmfs, columns sum to 1 +- off; the predicate and the
+    # Dirichlet-form routines share the 1e-9 column-sum tolerance
+    accepted = np.array([[0.5 + 1e-10, 0.5 - 1e-10], [0.5, 0.5]])
+    assert Channel(accepted).is_doubly_stochastic()
+    assert dirichlet_form(accepted, [1.0, -1.0]) == pytest.approx(1.0)
+    rejected = np.array([[0.5 + 1e-8, 0.5 - 1e-8], [0.5, 0.5]])
+    assert not Channel(rejected).is_doubly_stochastic()
+    with pytest.raises(ValueError, match="doubly stochastic"):
+        dirichlet_form(rejected, [1.0, -1.0])
 
 
 # --- symmetric family ------------------------------------------------------

@@ -16,18 +16,20 @@ from channel_order.channels import (
     symmetric_noise_pmf,
     uniform_pmf,
 )
+from channel_order.dirichlet import dirichlet_domination_check, lsi_functional
 from channel_order.divergences import chi2
 from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
+    PSD_TOL,
     DivergencePairWitness,
     DominationVerdict,
     LoewnerWitness,
-    LpProblem,
     SingularChannelError,
     Status,
     _DeltaPencil,
     _ones_complement,
     _orbit_letters,
+    _passes_by_cholesky,
     _symmetric_is_singular,
     _vertex_checks,
     _vertex_matrix,
@@ -41,6 +43,7 @@ from channel_order.preorders import (
     less_noisy_sampled,
     loewner_gap,
     majorizes,
+    phase_one,
     psd_check,
 )
 from channel_order.symdom import extremal_degraded_tau, ln_gamma_bound
@@ -77,15 +80,14 @@ def test_verdict_invariants():
 
 def test_lp_phase_one_feasible_and_infeasible():
     # x1 + x2 = 1, x1 - x2 = 0 has the solution (1/2, 1/2)
-    feasible = LpProblem(a_eq=np.array([[1.0, 1.0], [1.0, -1.0]]), b_eq=np.array([1.0, 0.0]))
-    opt, x = feasible.phase_one()
+    feasible, x, opt = phase_one(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0]))
+    assert feasible
     assert opt <= 1e-12
     assert np.allclose(x, [0.5, 0.5], atol=1e-9)
     # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
-    infeasible = LpProblem(
-        a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]), b_eq=np.array([1.0, 2.0])
-    )
-    opt, _ = infeasible.phase_one()
+    feasible, x, opt = phase_one(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+    assert not feasible
+    assert x is None
     assert opt >= 0.5
 
 
@@ -101,6 +103,24 @@ def test_majorizes_examples():
 def test_majorizes_requires_equal_sums():
     with pytest.raises(ValueError):
         majorizes([0.5, 0.5], [0.6, 0.6])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: majorizes([np.nan, 1.0], [0.5, 0.5]),
+        lambda: lsi_functional([np.nan, 1.0]),
+        lambda: dirichlet_domination_check(
+            symmetric_channel(3, 0.2), symmetric_channel(3, 0.5), "standard", delta=np.nan
+        ),
+    ],
+    ids=["majorizes_sum", "lsi_functional_norm", "dirichlet_standard_delta"],
+)
+def test_nan_fails_the_tolerance_guards(call):
+    # each guard was once written abs(...) > tol, which NaN passes: majorizes
+    # returned False, lsi_functional 0.0 and the Dirichlet check True
+    with pytest.raises(ValueError):
+        call()
 
 
 def doubly_stochastic_feasible(x, y):
@@ -123,7 +143,7 @@ def doubly_stochastic_feasible(x, y):
         row[j::q] = 1.0
         rows.append(row)
         rhs.append(1.0)
-    feasible, _, _ = LpProblem(np.array(rows), np.array(rhs)).solve()
+    feasible, _, _ = phase_one(np.array(rows), np.array(rhs))
     return feasible
 
 
@@ -337,6 +357,17 @@ def test_psd_check_rejects_asymmetric():
         psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", [0.25, 1.0, 1e3])
+@pytest.mark.parametrize("depth, passes", [(0.5, True), (2.0, False)])
+def test_psd_band_edge_is_shared_by_eigenvalue_and_cholesky(scale, depth, passes):
+    # smallest eigenvalue at -depth times the band PSD_TOL * max(1, |M|max),
+    # with |M|max = scale: both the eigenvalue test and the delta* probes'
+    # Cholesky test must scale the band the same way
+    m = np.diag([scale, 0.5 * scale, -depth * PSD_TOL * max(1.0, scale)])
+    assert psd_check(m)[0] is passes
+    assert _passes_by_cholesky(m.copy()) is passes
+
+
 # --- less noisy: exact -----------------------------------------------------------
 
 
@@ -390,6 +421,11 @@ def test_less_noisy_exact_shortcuts():
     assert less_noisy_exact(Channel(np.eye(3)), v).dominates
     assert less_noisy_exact(v, constant_channel(3)).dominates
     assert less_noisy_exact(constant_channel(3), v).status is Status.FAILS
+    # a constant-row W is refuted by V's row 0 and the first row that differs from it
+    v = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    witness = less_noisy_exact(constant_channel(3), v).witness
+    assert witness.p.tolist() == [1.0, 0.0, 0.0] and witness.q.tolist() == [0.0, 0.0, 1.0]
+    assert witness.lhs == 0.0 and witness.rhs > 0.0
 
 
 def test_less_noisy_mask_matches_exact_without_shortcuts():

@@ -44,7 +44,6 @@ from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
     DivergencePairWitness,
     LoewnerWitness,
-    LpProblem,
     SingularChannelError,
     Status,
     chi2_violation_pair,
@@ -60,6 +59,7 @@ from channel_order.preorders import (
     less_noisy_sampled,
     loewner_gap,
     majorizes,
+    phase_one,
     psd_check,
 )
 from channel_order.symdom import (
@@ -258,7 +258,7 @@ def _degradation_lp_feasible(wm: np.ndarray, vm: np.ndarray) -> bool:
     for k in range(r):
         a_eq[q * s + k, k * s : (k + 1) * s] = 1.0
         b_eq[q * s + k] = 1.0
-    return LpProblem(a_eq=a_eq, b_eq=b_eq).solve()[0]
+    return phase_one(a_eq, b_eq)[0]
 
 
 @st.composite
