@@ -166,11 +166,11 @@ def symmetric_eigenvalue(q: int, delta: float) -> float:
 
 
 def symmetric_inverse_param(q: int, delta: float) -> float:
-    """Parameter tau with W_tau = W_delta^{-1}.  Undefined at delta = (q-1)/q."""
+    """Parameter tau with W_tau = W_delta^{-1}.  Undefined at delta = (q-1)/q and non-finite delta."""
     _check_q(q)
     lam = symmetric_eigenvalue(q, delta)
-    if abs(lam) < 1e-12:
-        raise ValueError(f"symmetric matrix at delta = {delta} is singular (delta = (q-1)/q)")
+    if not (np.isfinite(delta) and abs(lam) >= 1e-12):
+        raise ValueError(f"delta = {delta} must be finite and not (q-1)/q, where W_delta is singular")
     return -delta / lam
 
 
@@ -268,10 +268,11 @@ def channel_from_csv(text: str) -> Channel:
     return Channel(np.asarray(rows))
 
 
-def channel_to_csv(channel: Channel, digits: int = 17) -> str:
+def channel_to_csv(channel: Channel) -> str:
+    """One CSV row per input letter, 17 significant digits: every float round-trips."""
     buf = io.StringIO()
     for row in channel.matrix:
-        buf.write(",".join(format(v, f".{digits}g") for v in row))
+        buf.write(",".join(format(v, ".17g") for v in row))
         buf.write("\n")
     return buf.getvalue()
 

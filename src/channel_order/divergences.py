@@ -21,8 +21,6 @@ class DivergenceValue(float):
     """A nonnegative divergence in nats; may be ``inf`` when absolute continuity fails."""
 
     def __new__(cls, value: float):
-        if value < 0 and value > -1e-12:
-            value = 0.0  # round-off guard; divergences are nonnegative
         if value < 0:
             raise ValueError(f"divergence cannot be negative, got {value}")
         return super().__new__(cls, value)
@@ -39,22 +37,31 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return pv, qv
 
 
+def _kl_chi2_rows(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D(p||q) and chi2(p||q) for each row pair of two pmf stacks, unchecked.
+
+    Sums p log(p/q) and p^2/q - 1 along the last axis, with 0 log 0 = 0/0 = 0.
+    Both are +inf where q vanishes somewhere on p's support, by that test and
+    never by overflow; round-off in (-1e-12, 0) reads 0.
+    """
+    support = ps > 0
+    safe = np.where(qs > 0, qs, 1.0)  # keeps log and division finite; singular rows are set below
+    kls = (ps * np.log(np.where(support, ps / safe, 1.0))).sum(axis=-1)
+    chis = (ps**2 / safe).sum(axis=-1) - 1.0
+    values = np.array([kls, chis])
+    values[(values < 0) & (values > -1e-12)] = 0.0
+    values[..., (support & (qs <= 0)).any(axis=-1)] = math.inf
+    return values[0], values[1]
+
+
 def kl(p, q) -> DivergenceValue:
     """Kullback-Leibler divergence D(p||q) with the 0 log 0 = 0 convention."""
-    pv, qv = _pair(p, q)
-    support = pv > 0
-    if np.any(qv[support] <= 0):
-        return DivergenceValue(math.inf)
-    return DivergenceValue(float(np.sum(pv[support] * np.log(pv[support] / qv[support]))))
+    return DivergenceValue(float(_kl_chi2_rows(*_pair(p, q))[0]))
 
 
 def chi2(p, q) -> DivergenceValue:
     """Chi-squared divergence sum_i p_i^2/q_i - 1 with the 0/0 = 0 convention."""
-    pv, qv = _pair(p, q)
-    support = pv > 0
-    if np.any(qv[support] <= 0):
-        return DivergenceValue(math.inf)
-    return DivergenceValue(float(np.sum(pv[support] ** 2 / qv[support]) - 1.0))
+    return DivergenceValue(float(_kl_chi2_rows(*_pair(p, q))[1]))
 
 
 def tv_distance(p, q) -> float:
@@ -174,15 +181,10 @@ def kl_chi2_integral_check(p, q, quadrature_nodes: int = 20001) -> IntegralCheck
     if n % 2 == 0:
         n += 1  # Simpson needs an odd node count
     s = np.linspace(0.0, 1.0, n)
-    # integrand in s: chi2(p || (1-s(1-s'))...): mixture (t p + q)/(t+1) with
-    # t = s/(1-s) is p + (1-s)(q - p); the 1/(t+1) dt factor becomes ds/(1-s).
+    # with t = s/(1-s) the mixture (t p + q)/(t+1) is p + (1-s)(q - p), and dt/(t+1) is ds/(1-s)
     mixtures = pv[None, :] + (1.0 - s)[:, None] * (qv - pv)[None, :]
-    vals = np.zeros(n)
-    support = pv > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chis = np.sum(pv[support] ** 2 / mixtures[:, support], axis=1) - 1.0
-        integrand = chis / (1.0 - s)
-    integrand[-1] = 0.0  # limit: chi2 vanishes quadratically at s = 1
+    integrand = np.zeros(n)  # the limit at s = 1: chi2 vanishes quadratically there
+    integrand[:-1] = _kl_chi2_rows(pv, mixtures[:-1])[1] / (1.0 - s[:-1])
     h = s[1] - s[0]
     weights = np.ones(n)
     weights[1:-1:2] = 4.0

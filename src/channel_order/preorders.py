@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import Pmf, as_channel, as_pmf, point_mass, uniform_pmf
-from .divergences import chi2, kl
+from .divergences import _kl_chi2_rows, chi2, kl
 from .groups import FiniteAbelianGroup, circulant
 
 LP_TOL = 1e-9
@@ -224,12 +224,15 @@ def group_majorizes(group: FiniteAbelianGroup, x, y) -> DominationVerdict:
     invertible lam is unique and one solve finds it: x majorizes y iff lam's
     entries are >= -tol and its sum is 1 within tol, with
     tol = LP_TOL * max(1, |lam|_max).  A singular circulant goes to the LP.
+    Non-finite entries are rejected (ValueError).
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     q = group.order
     if xv.size != q or yv.size != q:
         raise ValueError("vector lengths must match the group order")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise ValueError("x and y must be finite")
     # x . circ(lam) = lam . circ(x), so this is membership of y in the hull of
     # the orbit rows of circ(x), with lam the convex weights
     orbit = circulant(group, xv)
@@ -416,8 +419,8 @@ def _support_witness(wm: np.ndarray, vm: np.ndarray) -> Optional[DivergencePairW
     rows = np.flatnonzero((wm > 0).all(axis=1) & (vm == 0).any(axis=1))
     if rows.size == 0:
         return None
-    n = wm.shape[0]
-    return _divergence_pair_violation(wm, vm, uniform_pmf(n).probs, point_mass(n, rows[0]).probs)
+    uniform = np.full((1, len(wm)), 1.0 / len(wm))
+    return _divergence_pair_violation(wm, vm, uniform, np.eye(len(wm))[rows[:1]])[1]
 
 
 def _interior_witness(
@@ -426,11 +429,11 @@ def _interior_witness(
     """Move the failed check at vertex x into the simplex and return the Loewner witness there.
 
     With M(p) = D_{pV} - A^T D_{pW} A linear in p and u the eigenvector of
-    lam < 0, the smallest eigenvalue of m = M(e_x) (the test's one ``eigh``),
-    mixing e_x with uniform no further than u^T M(p) u = lam / 2 keeps the
-    form negative at an interior p.  Then d = W^{-T} D_{pW} A u satisfies
-    d^T L d < 0 for L = W D_{pW}^{-1} W^T - V D_{pV}^{-1} V^T
-    (Cauchy-Schwarz), so L's smallest eigenpair is a refutation at p.
+    lam < 0, the smallest eigenvalue of m = M(e_x) (by ``eigh``, after the
+    vertex test's ``eigvalsh``), mixing e_x with uniform no further than
+    u^T M(p) u = lam / 2 keeps the form negative at an interior p.  Then
+    d = W^{-T} D_{pW} A u satisfies d^T L d < 0 for L = W D_{pW}^{-1} W^T -
+    V D_{pV}^{-1} V^T (Cauchy-Schwarz), so L's smallest eigenpair refutes at p.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(m)
     u, lam = _ones_complement(vm.shape[1]) @ eigenvectors[:, 0], float(eigenvalues[0])
@@ -668,42 +671,36 @@ def sample_interior_pmf(rng: np.random.Generator, q: int) -> np.ndarray:
 
 
 def _divergence_pair_violation(
-    wm: np.ndarray, vm: np.ndarray, p: np.ndarray, q: np.ndarray
-) -> Optional[DivergencePairWitness]:
-    """Check the KL and chi-squared inequalities on one input pair."""
-    pw, qw = Pmf(p @ wm), Pmf(q @ wm)
-    pv, qv = Pmf(p @ vm), Pmf(q @ vm)
-    for name, fn in (("kl", kl), ("chi2", chi2)):
-        lhs, rhs = fn(pw, qw), fn(pv, qv)
-        # infinity >= infinity is fine; a finite lhs below an infinite or
-        # larger rhs refutes domination
-        if rhs > lhs + DIVERGENCE_TOL:
-            return DivergencePairWitness(
-                p=p, q=q, divergence=name, lhs=float(lhs), rhs=float(rhs)
-            )
-    return None
+    wm: np.ndarray, vm: np.ndarray, ps: np.ndarray, qs: np.ndarray
+) -> Optional[tuple[int, DivergencePairWitness]]:
+    """(i, witness) for the first pair (ps[i], qs[i]) whose output divergences break the inequality.
 
-
-def _special_pairs(q: int):
-    u = uniform_pmf(q).probs
-    for x in range(q):
-        yield u, point_mass(q, x).probs
-    for x in range(q):
-        yield point_mass(q, x).probs, u
-    for x in range(q):
-        for y in range(q):
-            if x != y:
-                yield point_mass(q, x).probs, point_mass(q, y).probs
+    ``ps`` and ``qs`` are input pmf stacks that broadcast against each other.
+    KL is checked before chi-squared within a pair.  None when all pass.
+    """
+    lhs = np.stack(_kl_chi2_rows(ps @ wm, qs @ wm), axis=1)
+    rhs = np.stack(_kl_chi2_rows(ps @ vm, qs @ vm), axis=1)
+    # infinity >= infinity is fine; a finite lhs below an infinite or larger
+    # rhs refutes domination.  Raveled row-major, KL comes before chi-squared.
+    bad = (rhs > lhs + DIVERGENCE_TOL).ravel()
+    if not bad.any():
+        return None
+    i, j = divmod(int(bad.argmax()), 2)
+    p, q = (stack[i].copy() for stack in np.broadcast_arrays(ps, qs))
+    return i, DivergencePairWitness(p, q, ("kl", "chi2")[j], float(lhs[i, j]), float(rhs[i, j]))
 
 
 def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVerdict:
     """Sampled refutation search for the less-noisy order (never certifies).
 
-    Runs three families of necessary checks: the PSD comparison and its range
-    inclusion at sampled interior input pmfs, and the KL / chi-squared output
-    divergence inequalities on deterministic boundary pairs plus sampled
-    pairs.  Any violation yields Fails with a witness; otherwise Undetermined.
-    ``samples`` must be nonnegative.
+    First checks the KL, then the chi-squared output divergence inequality
+    on q^2 + q boundary input pairs, one array pass per family: (uniform,
+    e_x), then (e_x, uniform), then (e_x, e_y) for x != y, row-major.  Each
+    of ``samples`` draws then checks the PSD comparison and its range
+    inclusion at an interior pmf, and the divergence inequalities on an
+    interior pair.  A violation yields Fails with a witness and
+    ``samples_used`` the 1-based position of its pair or sample in that
+    order; else Undetermined with q^2 + q + ``samples`` (nonnegative).
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -716,13 +713,16 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
         return shortcut
     q = wc.rows
     used = 0
-    # deterministic boundary pairs catch infinite-vs-finite separations, e.g.
-    # (uniform, point mass) under an erasure channel
-    for p_arr, q_arr in _special_pairs(q):
-        used += 1
-        bad = _divergence_pair_violation(wm, vm, p_arr, q_arr)
+    # boundary pairs catch infinite-vs-finite separations, e.g. (uniform, point
+    # mass) under an erasure channel; (e_x, e_y) is built once the others pass
+    uniform, eye = np.full((1, q), 1.0 / q), np.eye(q)
+    xs, ys = np.nonzero(~np.eye(q, dtype=bool))  # x != y, row-major
+    for family in (lambda: (uniform, eye), lambda: (eye, uniform), lambda: (eye[xs], eye[ys])):
+        ps, qs = family()
+        bad = _divergence_pair_violation(wm, vm, ps, qs)
         if bad is not None:
-            return _fails(witness=bad, samples_used=used)
+            return _fails(witness=bad[1], samples_used=used + bad[0] + 1)
+        used += max(len(ps), len(qs))
 
     rng = np.random.default_rng(seed)
     for _ in range(samples):
@@ -749,10 +749,9 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
             return _fails(
                 witness=LoewnerWitness(eigenvalue=lam, direction=vec, pmf=p), samples_used=used
             )
-        q_arr = sample_interior_pmf(rng, q)
-        bad = _divergence_pair_violation(wm, vm, p, q_arr)
+        bad = _divergence_pair_violation(wm, vm, p[None], sample_interior_pmf(rng, q)[None])
         if bad is not None:
-            return _fails(witness=bad, samples_used=used)
+            return _fails(witness=bad[1], samples_used=used)
     return _undetermined(samples_used=used)
 
 
@@ -800,9 +799,7 @@ def chi2_violation_pair(w, v, witness: LoewnerWitness) -> tuple[np.ndarray, np.n
         p_arr = q_arr + 0.5 * step * j
         p_arr = np.clip(p_arr, 0.0, None)
         p_arr = p_arr / p_arr.sum()
-        gap = float(chi2(Pmf(p_arr @ wm), Pmf(q_arr @ wm))) - float(
-            chi2(Pmf(p_arr @ vm), Pmf(q_arr @ vm))
-        )
+        gap = float(chi2(p_arr @ wm, q_arr @ wm)) - float(chi2(p_arr @ vm, q_arr @ vm))
         if gap < 0:
             return p_arr, q_arr, gap
     raise RuntimeError("could not materialize a chi-squared violation from the witness")

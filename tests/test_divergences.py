@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channel_order.channels import (
     Channel,
@@ -15,6 +17,7 @@ from channel_order.channels import (
     uniform_pmf,
 )
 from channel_order.divergences import (
+    _kl_chi2_rows,
     chi2,
     eta_kl_bounds,
     eta_tv,
@@ -31,6 +34,37 @@ LOG2 = math.log(2.0)
 
 def constant_channel(q):
     return Channel(np.full((q, q), 1.0 / q))
+
+
+@st.composite
+def pmf_stacks_with_zeros(draw):
+    """Two stacks of 1-4 pmfs on 1-12 letters; about a third of the entries are zero."""
+    n, rows = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n)
+    stack = []
+    for _ in range(2 * rows):
+        raw = np.array(draw(entries.filter(lambda xs: sum(xs) > 0)))
+        stack.append(raw / raw.sum())
+    return np.array(stack[:rows]), np.array(stack[rows:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pmf_stacks_with_zeros())
+def test_divergence_conventions(stacks):
+    ps, qs = stacks
+    kls, chis = _kl_chi2_rows(ps, qs)
+    for p, q, stacked_kl, stacked_chi2 in zip(ps, qs, kls, chis):
+        d_kl, d_chi2 = kl(p, q), chi2(p, q)
+        assert np.float64(d_kl).tobytes() == stacked_kl.tobytes()
+        assert np.float64(d_chi2).tobytes() == stacked_chi2.tobytes()
+        support = [(a, b) for a, b in zip(p.tolist(), q.tolist()) if a > 0]
+        singular = any(b == 0 for _, b in support)
+        assert math.isinf(d_kl) == singular and math.isinf(d_chi2) == singular
+        if not singular:
+            ref_kl = sum(a * math.log(a / b) for a, b in support)
+            ref_chi2 = sum(a * a / b for a, b in support) - 1.0
+            assert abs(d_kl - ref_kl) <= 1e-12 * max(1.0, abs(ref_kl))
+            assert abs(d_chi2 - ref_chi2) <= 1e-12 * max(1.0, abs(ref_chi2))
 
 
 def test_kl_examples():

@@ -12,6 +12,7 @@ from channel_order.channels import (
     point_mass,
     symmetric_channel,
     symmetric_eigenvalue,
+    symmetric_inverse_param,
     symmetric_matrix,
     symmetric_noise_pmf,
     uniform_pmf,
@@ -337,6 +338,25 @@ def test_group_majorizes_singular_circulant_uses_the_lp():
     assert group_majorizes(g, x, np.array([0.7, 0.1, 0.1, 0.1])).status is Status.FAILS
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: group_majorizes(cyclic_group(3), [np.nan, 0.5, 0.5], np.full(3, 1 / 3)),
+        # circ(x) is invertible: the solve once returned Fails
+        lambda: group_majorizes(cyclic_group(3), [0.6, 0.3, 0.1], [np.nan, 0.5, 0.5]),
+        lambda: group_majorizes(cyclic_group(3), [0.6, 0.3, 0.1], [np.inf, 0.0, 0.0]),
+        # circ(x) is singular: the LP once raised from inside scipy
+        lambda: group_majorizes(cyclic_group(3), np.full(3, 1 / 3), [-np.inf, 0.5, 0.5]),
+        lambda: symmetric_inverse_param(3, np.nan),
+        lambda: symmetric_inverse_param(3, np.inf),
+    ],
+    ids=["x-nan", "y-nan", "y-inf", "y-neg-inf-singular", "delta-nan", "delta-inf"],
+)
+def test_non_finite_input_is_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 # --- PSD kernel -----------------------------------------------------------------
 
 
@@ -562,6 +582,39 @@ def test_less_noisy_sampled_erasure_witness(delta, eps):
     assert np.allclose(witness.p, np.full(3, 1 / 3))
     assert np.allclose(witness.q, [1, 0, 0])
     assert math.isinf(witness.rhs) and math.isfinite(witness.lhs)
+
+
+@pytest.mark.parametrize(
+    "w, v, used, p, q, divergence",
+    [
+        # second family (e_x, uniform), pairs 4-6
+        (
+            [[0.5, 0.2, 0.3], [0.3, 0.2, 0.5], [0.3, 0.2, 0.5]],
+            [[0.5, 0.2, 0.3], [0.4, 0.3, 0.3], [0.4, 0.2, 0.4]],
+            5, [0, 1, 0], [1 / 3, 1 / 3, 1 / 3], "kl",
+        ),
+        # third family (e_x, e_y), x != y row-major, pairs 7-12: W cannot
+        # tell letters 1 and 2 apart and V can
+        (
+            [[0.1, 0.3, 0.6], [0.5, 0.3, 0.2], [0.5, 0.3, 0.2]],
+            [[0.3, 0.2, 0.5], [0.4, 0.2, 0.4], [0.3, 0.4, 0.3]],
+            10, [0, 1, 0], [0, 0, 1], "kl",
+        ),
+        # KL holds and chi-squared fails at pair 9, (e_1, e_0)
+        (
+            [[0.2, 0.2, 0.6], [0.2, 0.7, 0.1], [0.2, 0.7, 0.1]],
+            [[0.1, 0.4, 0.5], [0.5, 0.3, 0.2], [0.4, 0.4, 0.2]],
+            9, [0, 1, 0], [1, 0, 0], "chi2",
+        ),
+    ],
+)
+def test_less_noisy_sampled_boundary_order(w, v, used, p, q, divergence):
+    # boundary pairs run (uniform, e_x), (e_x, uniform), then (e_x, e_y), and
+    # samples_used is the 1-based position of the refuting pair
+    verdict = less_noisy_sampled(Channel(w), Channel(v), samples=0)
+    assert verdict.status is Status.FAILS and verdict.samples_used == used
+    assert verdict.witness.divergence == divergence
+    assert np.array_equal(verdict.witness.p, p) and np.array_equal(verdict.witness.q, q)
 
 
 def test_less_noisy_sampled_rejects_a_negative_budget():
