@@ -133,7 +133,7 @@ def _infer_symmetric_delta(m: np.ndarray) -> float:
     return delta
 
 
-def dirichlet_domination_check(w, v, kind: str, delta: float | None = None) -> bool:
+def dirichlet_domination_check(w, v, kind: str) -> bool:
     """Pointwise Dirichlet-form domination of W's form by V's, as a PSD test.
 
     kind="discrete": compares the forms of W W^T and V V^T, i.e. checks
@@ -142,8 +142,8 @@ def dirichlet_domination_check(w, v, kind: str, delta: float | None = None) -> b
     kind="continuous": compares the forms of W and V directly via their
     symmetrizations; requires W positive semidefinite and V normal.
 
-    kind="standard": W must be the symmetric channel at delta (inferred when
-    not given); checks that V's form dominates q delta/(q-1) times the
+    kind="standard": W must be the symmetric channel at some delta, which is
+    read off W; checks that V's form dominates q delta/(q-1) times the
     standard form, i.e. W_delta - (V + V^T)/2 >= 0.
     """
     wm = _doubly_stochastic_matrix(w, "W")
@@ -163,10 +163,8 @@ def dirichlet_domination_check(w, v, kind: str, delta: float | None = None) -> b
         return ok
     if kind == "standard":
         q = wm.shape[0]
-        inferred = _infer_symmetric_delta(wm)
-        if delta is not None and not abs(delta - inferred) <= 1e-9:
-            raise ValueError(f"W is the symmetric channel at {inferred}, not {delta}")
-        if not 0.0 <= inferred <= (q - 1) / q + 1e-12:
+        delta = _infer_symmetric_delta(wm)
+        if not 0.0 <= delta <= (q - 1) / q + 1e-12:
             raise ValueError("standard-form comparison needs delta in [0, (q-1)/q]")
         ok, _, _ = psd_check(wm - 0.5 * (vm + vm.T))
         return ok

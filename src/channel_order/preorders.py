@@ -518,9 +518,8 @@ def _vertex_checks(wm: np.ndarray, vms: np.ndarray, letters):
     failed.  Returns (A, vertex minima, first failing letter, the last M):
     minima has one column per entry of ``letters``, NaN where unchecked, and
     the letter is -1 where all pass; a single failing V's last M is its
-    failing vertex.
+    failing vertex.  The caller gates W (square, invertible): no SVD runs here.
     """
-    _require_invertible(wm)
     a = np.linalg.solve(wm, vms)
     basis = _ones_complement(vms.shape[2])
     ab = a @ basis
@@ -601,16 +600,16 @@ def less_noisy_exact(w, v) -> DominationVerdict:
     With A = W^{-1} V, checks at each input letter x that
     diag(V[x]) - A^T diag(W[x]) A is PSD on the complement of the all-ones
     vector; W is less noisy than V iff all q checks pass.  These are
-    ``less_noisy_mask``'s checks on a stack of one (``eigvalsh``, tolerance
-    relative to the matrices, of order |A|^2).  When W = r I + c J and V is
-    fixed by permutations carrying letter 0 to every letter (an additive V
-    with distinct noise entries, for one), the check at letter 0 alone
-    decides (``_orbit_letters``).  Dominates verdicts list the q smallest
-    eigenvalues as margins (kind "vertex_psd"), or, when letter 0 decided
-    alone, name that letter and its margin (kind "vertex_psd_orbit").  Fails
-    verdicts carry an input pair with infinite divergence under V only, when
-    one exists, and otherwise a LoewnerWitness at an interior input pmf from
-    the first failing vertex.
+    ``_vertex_checks`` on a stack of one, behind the singular-value gate
+    (``eigvalsh``, tolerance relative to the matrices, of order |A|^2).
+    When W = r I + c J and V is fixed by permutations carrying letter 0 to
+    every letter (an additive V with distinct noise entries, for one), the
+    check at letter 0 alone decides (``_orbit_letters``).  Dominates verdicts
+    list the q smallest eigenvalues as margins (kind "vertex_psd"), or, when
+    letter 0 decided alone, name that letter and its margin (kind
+    "vertex_psd_orbit").  Fails verdicts carry an input pair with infinite
+    divergence under V only, when one exists, and otherwise a LoewnerWitness
+    at an interior input pmf from the first failing vertex.
     """
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
@@ -619,6 +618,7 @@ def less_noisy_exact(w, v) -> DominationVerdict:
     shortcut = _shortcut(wm, vm)
     if shortcut is not None:
         return shortcut
+    _require_invertible(wm)
     letters = _orbit_letters(vm) if _commutes_with_permutations(wm) else range(wc.rows)
     a, minima, failed, m = _vertex_checks(wm, vm[None], letters)
     if failed[0] >= 0:
@@ -643,25 +643,6 @@ def less_noisy_exact(w, v) -> DominationVerdict:
             "min_eigenvalues": minima[0].tolist(),
         }
     )
-
-
-def less_noisy_mask(w, vms) -> np.ndarray:
-    """``less_noisy_exact(w, v).dominates`` for every V of an (n, q, s) stack.
-
-    The vertex checks of ``less_noisy_exact``, one ``eigvalsh`` per input
-    letter for the whole stack; no certificates or witnesses.  An identity W
-    or a constant-row V needs no shortcut here: every vertex matrix is then
-    diag(v) - v v^T, which is PSD.  A constant-row W dominates only the
-    constant-row V, as in ``less_noisy_exact``; any other W must pass the
-    invertibility gate (SingularChannelError).  Rows of each V must be pmfs.
-    """
-    wm = as_channel(w).matrix
-    vms = np.asarray(vms, dtype=float)
-    if vms.ndim != 3 or vms.shape[1] != wm.shape[0]:
-        raise ValueError(f"expected a stack of channels with {wm.shape[0]} inputs, got {vms.shape}")
-    if _rows_all_equal(wm):
-        return _rows_all_equal(vms)
-    return _vertex_checks(wm, vms, range(wm.shape[0]))[2] < 0
 
 
 def sample_interior_pmf(rng: np.random.Generator, q: int) -> np.ndarray:

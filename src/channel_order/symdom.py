@@ -39,18 +39,17 @@ import numpy as np
 
 from .channels import (
     Channel,
-    Pmf,
     additive_channel,
     as_channel,
     as_pmf,
     pmf_rows,
-    symmetric_channel,
     symmetric_eigenvalue,
     symmetric_matrix,
     symmetric_noise_pmf,
     uniform_pmf,
 )
-from .divergences import eta_tv, kl, maximal_correlation, shannon_entropy
+# kl: not called here; bench/tracing.py wraps it
+from .divergences import _kl_chi2_rows, eta_tv, kl, maximal_correlation, shannon_entropy
 from .groups import circulant, cyclic_group  # circulant: not called here; bench/tracing.py wraps it
 from .preorders import (
     LP_TOL,
@@ -59,9 +58,9 @@ from .preorders import (
     _orbit_letters,
     _rows_all_equal,
     _symmetric_is_singular,
+    _vertex_checks,
     is_degraded,  # not called here; bench/tracing.py wraps this name
     less_noisy_exact,  # not called here; bench/tracing.py wraps this name
-    less_noisy_mask,
     less_noisy_sampled,  # not called here; bench/tracing.py wraps this name
     majorized_rows,
     majorizes,  # not called here; bench/tracing.py wraps this name
@@ -175,8 +174,13 @@ def classify_noise_pmfs(q: int, delta: float, noise) -> list[str]:
     two-orbit hull), then OUTSIDE the ball around uniform, and inside it
     LESS_NOISY (exact vertex test of W_delta against the circulant, which may
     be singular) or CIRCLE_ONLY.  The less-noisy test runs only inside the
-    ball, which is necessary for it.  Rows pass ``channels.pmf_rows``, as a
-    ``Pmf`` does.  Returns one label per row.
+    ball, which is necessary for it.  Cyclic shifts fix W_delta and every
+    circulant and carry letter 0 to every letter, so the check at letter 0
+    decides alone (``preorders._vertex_checks``).  W_delta is gated in closed
+    form: when it counts as singular it is taken for a constant-row channel,
+    so a circulant is LESS_NOISY iff its rows are equal within ENTRY_TOL, and
+    nothing raises.  Rows pass ``channels.pmf_rows``, as a ``Pmf`` does.
+    Returns one label per row.
     """
     _check_delta(q, delta)
     p = np.asarray(noise, dtype=float)
@@ -195,7 +199,11 @@ def classify_noise_pmfs(q: int, delta: float, noise) -> list[str]:
     if rest.size:
         # entry (a, b) of the cyclic circulant is p[b - a], as groups.circulant builds it
         shifts = (np.arange(q) - np.arange(q)[:, None]) % q
-        dominated = less_noisy_mask(symmetric_channel(q, delta), p[rest][:, shifts])
+        circulants = p[rest][:, shifts]
+        if _symmetric_is_singular(symmetric_eigenvalue(q, delta)):
+            dominated = _rows_all_equal(circulants)
+        else:
+            dominated = _vertex_checks(symmetric_matrix(q, delta), circulants, range(1))[2] < 0
         label[rest] = np.where(
             dominated, LABELS.index("LESS_NOISY"), LABELS.index("CIRCLE_ONLY")
         )
@@ -265,7 +273,7 @@ def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
     larger-parameter ones and the less-noisy order is transitive, so the
     feasible set is an interval [0, delta*].  The bracket starts at the
     minimum-entry degradation threshold (feasible) and (q-1)/q (the boundary).
-    Each probe is the exact vertex test of ``less_noisy_mask``, with no
+    Each probe is the exact vertex test of ``less_noisy_exact``, with no
     witness, and needs W_delta invertible (delta below the boundary) but not
     V.  With r = 1 - delta - delta/(q-1), W_delta = r I + (1 - r) J / q, so
     its singularity gate is closed form (``preorders._symmetric_is_singular``),
@@ -339,8 +347,9 @@ def domination_factor_estimate(
     D(pV||qV) / D(pW||qW) with W the symmetric channel at delta; it is at
     most 1 exactly when W is less noisy than V.  Half the sampled pairs are
     Dirichlet draws, half concentrate near simplex vertices (where the
-    supremum is typically approached), and the best pair is refined by
-    coordinate ascent with halving steps.
+    supremum is typically approached), all scored in one pass of the
+    divergence kernel, and the best pair is refined by coordinate ascent
+    with halving steps.
     """
     vc = as_channel(v)
     q = vc.rows
@@ -351,16 +360,21 @@ def domination_factor_estimate(
     wm = symmetric_matrix(q, delta)
     vm = vc.matrix
 
-    def ratio(p: np.ndarray, q_arr: np.ndarray) -> float:
-        denom = float(kl(Pmf(p @ wm), Pmf(q_arr @ wm)))
-        if denom < 1e-14 or not math.isfinite(denom):
-            return -math.inf
-        return float(kl(Pmf(p @ vm), Pmf(q_arr @ vm))) / denom
+    def outputs(p: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
+        # one product per vector: a stacked product rounds differently
+        return np.array([p @ wm, p @ vm, q_arr @ wm, q_arr @ vm])
+
+    def ratios(out: np.ndarray) -> np.ndarray:
+        """D(pV||qV) / D(pW||qW) per (4, q) block of ``outputs``; -inf where uninformative."""
+        divergences = _kl_chi2_rows(out[..., :2, :], out[..., 2:, :])[0]
+        denom, numer = divergences[..., 0], divergences[..., 1]
+        informative = (denom >= 1e-14) & np.isfinite(denom)
+        return np.where(informative, numer / np.where(informative, denom, 1.0), -math.inf)
 
     rng = np.random.default_rng(seed)
-    best = -math.inf
-    best_pair = None
     half = samples // 2
+    pairs = np.empty((samples, 2, q))
+    out = np.empty((samples, 4, q))
     for index in range(samples):
         if index < half:
             p = rng.dirichlet(np.ones(q))
@@ -368,13 +382,15 @@ def domination_factor_estimate(
         else:
             p = 0.98 * np.eye(q)[rng.integers(q)] + 0.02 * rng.dirichlet(np.ones(q))
             q_arr = 0.98 * np.eye(q)[rng.integers(q)] + 0.02 * rng.dirichlet(np.ones(q))
-        r = ratio(p, q_arr)
-        if r > best:
-            best, best_pair = r, (p, q_arr)
-    if best_pair is None:
+        pairs[index] = p, q_arr
+        out[index] = outputs(p, q_arr)
+    scores = ratios(out)
+    if not (scores > -math.inf).any():
         raise RuntimeError("no informative pair sampled")
+    first_best = int(np.argmax(scores))
+    best = float(scores[first_best])
+    p, q_arr = pairs[first_best]
 
-    p, q_arr = best_pair
     step = 0.25
     for _ in range(100):
         improved = False
@@ -389,7 +405,7 @@ def domination_factor_estimate(
                         continue
                     candidate = candidate / total
                     pair = (candidate, q_arr) if target == 0 else (p, candidate)
-                    r = ratio(*pair)
+                    r = float(ratios(outputs(*pair)))
                     if r > best:
                         best = r
                         p, q_arr = pair

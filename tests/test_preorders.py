@@ -17,7 +17,7 @@ from channel_order.channels import (
     symmetric_noise_pmf,
     uniform_pmf,
 )
-from channel_order.dirichlet import dirichlet_domination_check, lsi_functional
+from channel_order.dirichlet import lsi_functional
 from channel_order.divergences import chi2
 from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
@@ -31,6 +31,7 @@ from channel_order.preorders import (
     _ones_complement,
     _orbit_letters,
     _passes_by_cholesky,
+    _require_invertible,
     _symmetric_is_singular,
     _vertex_checks,
     _vertex_matrix,
@@ -40,7 +41,6 @@ from channel_order.preorders import (
     is_degraded_additive,
     is_singular_channel_matrix,
     less_noisy_exact,
-    less_noisy_mask,
     less_noisy_sampled,
     loewner_gap,
     majorizes,
@@ -111,15 +111,12 @@ def test_majorizes_requires_equal_sums():
     [
         lambda: majorizes([np.nan, 1.0], [0.5, 0.5]),
         lambda: lsi_functional([np.nan, 1.0]),
-        lambda: dirichlet_domination_check(
-            symmetric_channel(3, 0.2), symmetric_channel(3, 0.5), "standard", delta=np.nan
-        ),
     ],
-    ids=["majorizes_sum", "lsi_functional_norm", "dirichlet_standard_delta"],
+    ids=["majorizes_sum", "lsi_functional_norm"],
 )
 def test_nan_fails_the_tolerance_guards(call):
     # each guard was once written abs(...) > tol, which NaN passes: majorizes
-    # returned False, lsi_functional 0.0 and the Dirichlet check True
+    # returned False and lsi_functional 0.0
     with pytest.raises(ValueError):
         call()
 
@@ -448,18 +445,17 @@ def test_less_noisy_exact_shortcuts():
     assert witness.lhs == 0.0 and witness.rhs > 0.0
 
 
-def test_less_noisy_mask_matches_exact_without_shortcuts():
-    # the stacked test takes no identity or constant-row V shortcut; its
-    # vertex checks must reach the verdicts that less_noisy_exact's shortcuts give
+def test_vertex_checks_match_exact_without_shortcuts():
+    # the vertex checks take no identity or constant-row V shortcut; at every
+    # letter they must reach the verdicts that less_noisy_exact's shortcuts give
     rng = np.random.default_rng(4)
     stack = [random_channel(rng, 3).matrix for _ in range(4)]
     stack += [np.eye(3), np.eye(3)[[1, 2, 0]], constant_channel(3).matrix]
     stack += [np.array([[0.6, 0.3, 0.1]] * 3)]
-    for w in [np.eye(3), constant_channel(3), *stack[:4], symmetric_channel(3, 0.2)]:
+    for w in [np.eye(3), *stack[:4], symmetric_channel(3, 0.2).matrix]:
         expected = [less_noisy_exact(w, v).dominates for v in stack]
-        assert less_noisy_mask(w, stack).tolist() == expected
-    with pytest.raises(SingularChannelError):
-        less_noisy_mask(Channel(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])), stack)
+        _require_invertible(w)
+        assert (_vertex_checks(w, np.array(stack), range(3))[2] < 0).tolist() == expected
 
 
 def test_stacked_vertex_checks_keep_each_first_failing_letter():

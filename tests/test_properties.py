@@ -13,7 +13,10 @@ the hull LP, on degraded, Dirichlet and extremal inputs.
 
 The classifier's labels are checked against a per-point reference built from
 ``majorizes``, the hull LP over the 2q generators and ``less_noisy_exact``
-on the circulant.
+on the circulant.  Its single vertex check per circulant (letter 0) is
+checked against the checks at every letter, on cyclic circulants of noise
+pmfs 1e-12..1e-2 from uniform, with tied entries, and delta up to 1e-9
+below (q-1)/q.
 
 The orbit reduction (one vertex check for an additive V against W_delta) is
 checked against the same per-letter loop, on additive V over cyclic and
@@ -22,8 +25,8 @@ moved by one ulp, and against a W outside the family r I + c J.
 
 ``delta_star``'s probes, which evaluate precomputed vertex matrices and
 factor them by Cholesky, are checked against the probe loop it once ran:
-build W_delta, gate it by its singular values, solve for A and take
-``eigvalsh`` at every letter (``less_noisy_mask``).
+build W_delta, gate it by its singular values (``_require_invertible``),
+solve for A and take ``eigvalsh`` at every letter (``_vertex_checks``).
 """
 
 import numpy as np
@@ -37,6 +40,7 @@ from channel_order.channels import (
     additive_channel,
     erasure_channel,
     symmetric_channel,
+    symmetric_eigenvalue,
     symmetric_noise_pmf,
 )
 from channel_order.divergences import kl
@@ -53,9 +57,10 @@ from channel_order.preorders import (
     is_singular_channel_matrix,
     _commutes_with_permutations,
     _orbit_letters,
+    _require_invertible,
+    _symmetric_is_singular,
     _vertex_checks,
     less_noisy_exact,
-    less_noisy_mask,
     less_noisy_sampled,
     loewner_gap,
     majorizes,
@@ -160,6 +165,7 @@ def test_stacked_vertex_checks_match_the_per_letter_loop(pair):
     w, v = pair
     wm, vm = w.matrix, v.matrix
     status, minima, failed, scales = _per_letter_vertex_checks(wm, vm)
+    _require_invertible(wm)
     _, stacked, stacked_failed, _ = _vertex_checks(wm, vm[None], range(len(wm)))
     assert int(stacked_failed[0]) == failed
     checked = len(minima)
@@ -167,7 +173,7 @@ def test_stacked_vertex_checks_match_the_per_letter_loop(pair):
     assert np.all(np.isnan(stacked[0, checked:]))
     verdict = less_noisy_exact(w, v)
     assert verdict.status is status
-    assert less_noisy_mask(w, [vm]).tolist() == [verdict.dominates]
+    assert (stacked_failed[0] < 0) == verdict.dominates
     if status is Status.DOMINATES:
         if isinstance(verdict.certificate, str):
             return  # a constant-row V is decided by the shortcut, before any vertex
@@ -384,6 +390,39 @@ def test_batched_classifier_matches_per_point_reference(case):
 
 
 @st.composite
+def near_uniform_circulants(draw):
+    """(q, delta, an (n, q, q) stack of cyclic circulants) of noise pmfs 1e-12..1e-2
+    from uniform, whose entries take at most ``levels`` values, so ties are common,
+    and delta in [0, (q-1)/q - 1e-9], often close to its top."""
+    q = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = (q - 1) / q - 1e-9
+    if draw(st.booleans()):
+        delta = top - 10.0 ** draw(st.floats(-12.0, -2.0))
+    else:
+        delta = top * draw(st.floats(0.0, 1.0))
+    n, levels = draw(st.integers(1, 8)), draw(st.integers(1, q))
+    d = rng.normal(size=(n, levels))[:, rng.integers(0, levels, size=q)]
+    d -= d.mean(axis=1, keepdims=True)
+    d /= np.maximum(np.abs(d).max(axis=1, keepdims=True), 1e-300)
+    p = 1.0 / q + 10.0 ** rng.uniform(-12.0, -2.0, size=(n, 1)) * d
+    shifts = (np.arange(q) - np.arange(q)[:, None]) % q
+    return q, delta, p[:, shifts]
+
+
+@PROPERTY_SETTINGS
+@given(near_uniform_circulants())
+def test_letter_zero_decides_for_a_cyclic_circulant(case):
+    q, delta, circulants = case
+    w = symmetric_channel(q, delta).matrix
+    assert not _symmetric_is_singular(symmetric_eigenvalue(q, delta))
+    _require_invertible(w)
+    letter_zero = _vertex_checks(w, circulants, range(1))[2] < 0
+    every_letter = _vertex_checks(w, circulants, range(q))[2] < 0
+    assert letter_zero.tolist() == every_letter.tolist()
+
+
+@st.composite
 def delta_star_channels(draw):
     """(V, tol): square V at q <= 8, random with zero entries, additive, r I + c J,
     with a repeated row, or within 1e-11..1e-3 of the constant channel."""
@@ -416,11 +455,13 @@ def _old_delta_star(v: Channel, tol: float):
     probes = []
 
     def probe(delta):
+        wm = symmetric_channel(q, delta).matrix
         try:
-            dominated = less_noisy_mask(symmetric_channel(q, delta), vm[None])[0]
-            status = "dominates" if dominated else "fails"
+            _require_invertible(wm)
         except SingularChannelError:
             status = "undetermined"
+        else:
+            status = "dominates" if _vertex_checks(wm, vm[None], range(q))[2][0] < 0 else "fails"
         probes.append((delta, status))
         return status
 

@@ -19,10 +19,11 @@ from channel_order.preorders import (
     SingularChannelError,
     Status,
     _orbit_letters,
+    _require_invertible,
+    _vertex_checks,
     is_degraded,
     is_degraded_additive,
     less_noisy_exact,
-    less_noisy_mask,
     loewner_gap,
     majorizes,
 )
@@ -216,6 +217,14 @@ def test_classify_next_to_the_boundary_with_a_constant_row_channel():
     assert classify_noise_pmf(q, delta, p) == "LESS_NOISY"
 
 
+def test_classify_inside_the_singular_gate_without_raising():
+    # r(delta) = 1.5e-11 lies between the constant-row tolerance (1e-12) and
+    # the singularity gate (1e-10): the pmf gets a label, not a
+    # SingularChannelError, and its rows differ by 1.8e-11, so it is not constant
+    p = [1 / 3 + 9e-12, 1 / 3 - 9e-12, 1 / 3]
+    assert classify_noise_pmf(3, 2 / 3 - 1e-11, p) == "CIRCLE_ONLY"
+
+
 def test_classify_noise_pmfs_rejects_bad_input():
     with pytest.raises(ValueError, match="stack of noise pmfs"):
         classify_noise_pmfs(3, 0.2, [0.5, 0.5, 0.0])
@@ -286,8 +295,8 @@ def test_region_nesting_small_grid():
 
 def assert_probes_match_exact(v, result):
     # each probe runs the vertex checks without a witness; its status must be
-    # the full exact test's and that of the checks at every letter
-    # (less_noisy_mask), and an undetermined probe a singular W_delta
+    # the full exact test's and that of the checks at every letter behind the
+    # singular-value gate, and an undetermined probe a singular W_delta
     q = v.rows
     for delta, status in result.probes:
         if status == "undetermined":
@@ -295,7 +304,9 @@ def assert_probes_match_exact(v, result):
                 less_noisy_exact(symmetric_channel(q, delta), v)
         else:
             assert less_noisy_exact(symmetric_channel(q, delta), v).status.value == status, delta
-            every_letter = less_noisy_mask(symmetric_channel(q, delta), v.matrix[None])[0]
+            w = symmetric_channel(q, delta).matrix
+            _require_invertible(w)
+            every_letter = _vertex_checks(w, v.matrix[None], range(q))[2][0] < 0
             assert every_letter == (status == "dominates"), delta
 
 
