@@ -9,32 +9,34 @@ constants are available without any numerics.
 import numpy as np
 
 from channel_order import (
-    SymmetricParam,
     discrete_lsi_constant_symmetric,
     eta_kl_bounds,
     lsi_constant_symmetric,
     maximal_correlation,
     symmetric_channel,
+    symmetric_compose_param,
+    symmetric_eigenvalue,
+    symmetric_inverse_param,
+    symmetric_matrix,
     uniform_pmf,
 )
 
 q, delta = 3, 0.2
-w = SymmetricParam(q, delta)
+w = symmetric_matrix(q, delta)
 print(f"symmetric channel, q={q}, delta={delta}:")
-print(w.matrix())
+print(w)
 
-print("\neigenvalues: 1 and", w.eigenvalue(), f"(multiplicity {q - 1})")
+print("\neigenvalues: 1 and", symmetric_eigenvalue(q, delta), f"(multiplicity {q - 1})")
 
-inv = w.inverse()
-print(f"\ninverse lives in the same family at tau = {inv.delta:.10f}")
-print("W_tau W_delta =\n", np.round(inv.matrix() @ w.matrix(), 12))
+tau = symmetric_inverse_param(q, delta)
+print(f"\ninverse lives in the same family at tau = {tau:.10f}")
+print("W_tau W_delta =\n", np.round(symmetric_matrix(q, tau) @ w, 12))
 
-two_step = w.compose(w)
-print(f"\ntwo channel uses compose to the parameter {two_step.delta}")
+print(f"\ntwo channel uses compose to the parameter {symmetric_compose_param(q, delta, delta)}")
 
 print("\nconstants at (q, delta) = (3, 0.2):")
-print("  maximal correlation  ", maximal_correlation(uniform_pmf(q), w.channel()))
-lower, upper = eta_kl_bounds(w.channel(), samples=200, seed=0)
+print("  maximal correlation  ", maximal_correlation(uniform_pmf(q), w))
+lower, upper = eta_kl_bounds(w, samples=200, seed=0)
 print(f"  KL contraction bracket  [{lower:.6f}, {upper:.6f}]")
 print("  log-Sobolev constant    ", lsi_constant_symmetric(q, delta))
 print("  discrete LSI constant   ", discrete_lsi_constant_symmetric(q, delta))

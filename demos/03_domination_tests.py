@@ -4,8 +4,8 @@ Degradation (post-processing one channel into another) is a linear
 feasibility question and comes with an explicit kernel.  The less-noisy order
 is weaker; from an invertible square channel W to any channel V it reduces
 to q exact PSD checks on A = W^{-1} V, and failures come with a witness that
-materializes into a concrete pair of inputs whose output chi-squared
-divergences flip the required inequality.
+materializes, in closed form, into a concrete pair of inputs whose output
+chi-squared divergences flip the required inequality.
 """
 
 import numpy as np
@@ -45,8 +45,12 @@ print(
     "eigenvalue", f"{failing.witness.eigenvalue:.4f}",
 )
 p, qq, gap = chi2_violation_pair(w, symmetric_channel(q, 0.1), failing.witness)
-print("input pair with flipped output chi-squared divergences:")
+print("input pair with flipped output chi-squared divergences, in closed form:")
+print("q is the witness pmf, and p moves from q along the witness direction")
 print("  p =", np.round(p, 6), " q =", np.round(qq, 6), " gap =", f"{gap:.6f}")
+d = failing.witness.direction
+step = 2.0 * np.abs(p - qq).max() / np.abs(d - d.sum() * qq).max()  # p = q + step (d - (sum d) q) / 2
+print(f"  eigenvalue * step^2 / 4 = {failing.witness.eigenvalue * step**2 / 4:.6f} (step {step:.6f})")
 
 print("\nno symmetric channel dominates an erasure channel (V need not be square):")
 refuted = less_noisy_exact(w, erasure_channel(q, 0.3))

@@ -9,7 +9,6 @@ arbitrary doubly stochastic ones.
 from .channels import (
     Channel,
     Pmf,
-    SymmetricParam,
     additive_channel,
     erasure_channel,
     point_mass,

@@ -23,6 +23,7 @@ from .groups import FiniteAbelianGroup, circulant
 SUM_TOL = 1e-12
 RENORM_TOL = 1e-9
 COLUMN_SUM_TOL = 1e-9  # doubly stochastic: every column sums to 1 within it
+DET_TOL = 1e-10  # singularity gate on the smallest singular value
 
 
 def pmf_rows(m) -> np.ndarray:
@@ -165,12 +166,27 @@ def symmetric_eigenvalue(q: int, delta: float) -> float:
     return 1.0 - delta - delta / (q - 1)
 
 
+def _symmetric_is_singular(r: float) -> bool:
+    """The singularity gate of W = r I + (1 - r) J / q, in closed form.
+
+    W's singular values are 1 and |r| (q - 1 times), and its rows are pmfs,
+    whose Euclidean norm is at most 1, so ``preorders.is_singular_channel_matrix``
+    reduces to min(1, |r|) <= DET_TOL.
+    """
+    return min(1.0, abs(r)) <= DET_TOL
+
+
 def symmetric_inverse_param(q: int, delta: float) -> float:
-    """Parameter tau with W_tau = W_delta^{-1}.  Undefined at delta = (q-1)/q and non-finite delta."""
+    """Parameter tau with W_tau = W_delta^{-1}.
+
+    Raises ValueError for non-finite delta and wherever W_delta counts as
+    singular (``_symmetric_is_singular``), i.e. within about DET_TOL of
+    delta = (q-1)/q.
+    """
     _check_q(q)
     lam = symmetric_eigenvalue(q, delta)
-    if not (np.isfinite(delta) and abs(lam) >= 1e-12):
-        raise ValueError(f"delta = {delta} must be finite and not (q-1)/q, where W_delta is singular")
+    if not np.isfinite(delta) or _symmetric_is_singular(lam):
+        raise ValueError(f"delta = {delta} must be finite and not near (q-1)/q, where W_delta is singular")
     return -delta / lam
 
 
@@ -178,37 +194,6 @@ def symmetric_compose_param(q: int, eps: float, delta: float) -> float:
     """Parameter of the product W_eps . W_delta within the symmetric family."""
     _check_q(q)
     return eps + delta - eps * delta - eps * delta / (q - 1)
-
-
-@dataclass(frozen=True)
-class SymmetricParam:
-    """A (q, delta) pair naming one member of the symmetric matrix family."""
-
-    q: int
-    delta: float
-
-    def __post_init__(self):
-        _check_q(self.q)
-
-    def matrix(self) -> np.ndarray:
-        return symmetric_matrix(self.q, self.delta)
-
-    def channel(self) -> Channel:
-        return symmetric_channel(self.q, self.delta)
-
-    def noise_pmf(self) -> Pmf:
-        return symmetric_noise_pmf(self.q, self.delta)
-
-    def eigenvalue(self) -> float:
-        return symmetric_eigenvalue(self.q, self.delta)
-
-    def inverse(self) -> "SymmetricParam":
-        return SymmetricParam(self.q, symmetric_inverse_param(self.q, self.delta))
-
-    def compose(self, other: "SymmetricParam") -> "SymmetricParam":
-        if other.q != self.q:
-            raise ValueError("alphabet sizes differ")
-        return SymmetricParam(self.q, symmetric_compose_param(self.q, self.delta, other.delta))
 
 
 def _check_q(q: int):

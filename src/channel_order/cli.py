@@ -158,16 +158,17 @@ def _cmd_region(args) -> int:
 def _cmd_constants(args) -> int:
     q, d = args.q, args.delta
     boundary = (q - 1) / q
-    rho = abs(channels.symmetric_eigenvalue(q, d))
+    eigenvalue = channels.symmetric_eigenvalue(q, d)
+    rho = abs(eigenvalue)
     payload = {
         "lsi": dirichlet.lsi_constant_symmetric(q, d),
         "discrete_lsi": dirichlet.discrete_lsi_constant_symmetric(q, d),
         "rho_max": rho,
         "eta_kl_lower": rho**2,
         "eta_kl_upper": rho,
-        "eigenvalue": channels.symmetric_eigenvalue(q, d),
+        "eigenvalue": eigenvalue,
         "tau_inverse": (
-            channels.symmetric_inverse_param(q, d) if abs(d - boundary) > 1e-12 else None
+            None if channels._symmetric_is_singular(eigenvalue) else channels.symmetric_inverse_param(q, d)
         ),
         "tau_extremal": symdom.extremal_degraded_tau(q, d),
         "gamma_ln": symdom.ln_gamma_bound(q, d) if d <= boundary + 1e-12 else None,

@@ -40,14 +40,16 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
 def _kl_chi2_rows(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D(p||q) and chi2(p||q) for each row pair of two pmf stacks, unchecked.
 
-    Sums p log(p/q) and p^2/q - 1 along the last axis, with 0 log 0 = 0/0 = 0.
+    Sums p log(p/q) and (p - q)^2/q along the last axis, with 0 log 0 = 0/0 = 0.
+    The chi-squared terms are nonnegative, so a small chi-squared keeps its
+    relative accuracy; the equal sum p^2/q - 1 would cancel to round-off.
     Both are +inf where q vanishes somewhere on p's support, by that test and
-    never by overflow; round-off in (-1e-12, 0) reads 0.
+    never by overflow; KL round-off in (-1e-12, 0) reads 0.
     """
     support = ps > 0
     safe = np.where(qs > 0, qs, 1.0)  # keeps log and division finite; singular rows are set below
     kls = (ps * np.log(np.where(support, ps / safe, 1.0))).sum(axis=-1)
-    chis = (ps**2 / safe).sum(axis=-1) - 1.0
+    chis = ((ps - qs) ** 2 / safe).sum(axis=-1)
     values = np.array([kls, chis])
     values[(values < 0) & (values > -1e-12)] = 0.0
     values[..., (support & (qs <= 0)).any(axis=-1)] = math.inf
@@ -60,7 +62,7 @@ def kl(p, q) -> DivergenceValue:
 
 
 def chi2(p, q) -> DivergenceValue:
-    """Chi-squared divergence sum_i p_i^2/q_i - 1 with the 0/0 = 0 convention."""
+    """Chi-squared divergence sum_i (p_i - q_i)^2/q_i with the 0/0 = 0 convention."""
     return DivergenceValue(float(_kl_chi2_rows(*_pair(p, q))[1]))
 
 

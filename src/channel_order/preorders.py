@@ -50,13 +50,13 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import Pmf, as_channel, as_pmf, point_mass, uniform_pmf
+from .channels import DET_TOL, as_channel, as_pmf
+# kl: not called here; bench/tracing.py wraps it
 from .divergences import _kl_chi2_rows, chi2, kl
 from .groups import FiniteAbelianGroup, circulant
 
 LP_TOL = 1e-9
 PSD_TOL = 1e-9
-DET_TOL = 1e-10
 ENTRY_TOL = 1e-12  # majorization partial sums, constant-row and identity tests
 DIVERGENCE_TOL = 1e-11  # slack of the KL and chi-squared pair inequalities
 INTERIOR_MIX = 1e-6
@@ -80,10 +80,12 @@ class Status(enum.Enum):
 class LoewnerWitness:
     """A direction along which the defining PSD comparison fails.
 
-    At the strictly positive input pmf ``pmf``, ``direction`` is an
-    eigenvector of W D_{pW}^{-1} W^T - V D_{pV}^{-1} V^T with eigenvalue
-    ``eigenvalue`` < 0.  Both the exact and the sampled test report this
-    form.  ``vertex`` is always None; it stays because ``bench/workloads.py``
+    At the strictly positive input pmf ``pmf``, ``direction`` is a unit
+    eigenvector of W D_{pW}^{-1} W^T - V D_{pV}^{-1} V^T for its smallest
+    eigenvalue, ``eigenvalue`` < 0.  Both the exact and the sampled test
+    report this form, each from one ``eigh`` of that matrix, and
+    ``chi2_violation_pair`` turns it into an input pmf pair in closed form.
+    ``vertex`` is always None; it stays because ``bench/workloads.py``
     reads it, until the benchmark is brought up to date (ROADMAP item 1).
     """
 
@@ -355,26 +357,15 @@ def _is_identity(m: np.ndarray) -> bool:
 
 
 def _shortcut(wm: np.ndarray, vm: np.ndarray) -> Optional[DominationVerdict]:
-    """Extremal channels decide instantly: the identity dominates everything, a
-    constant-row channel is dominated by everything, and a constant-row W only
-    dominates constant-row V."""
+    """The sampled test's two instant certificates: a constant-row V is
+    dominated by every channel, and the identity W dominates every channel.
+
+    The exact test needs neither: its vertex checks pass on both inputs.
+    """
     if _rows_all_equal(vm):
         return _dominates(certificate="constant-row channel is dominated by every channel")
     if _is_identity(wm):
         return _dominates(certificate="identity channel dominates every channel")
-    if _rows_all_equal(wm):
-        # y is V's first row that differs from row 0: the first non-constant pair (V[0], V[y])
-        pairs = np.stack([np.broadcast_to(vm[0], vm.shape), vm], axis=1)
-        y = int(np.argmin(_rows_all_equal(pairs)))
-        return _fails(
-            witness=DivergencePairWitness(
-                p=point_mass(len(vm), 0).probs,
-                q=point_mass(len(vm), y).probs,
-                divergence="kl",
-                lhs=0.0,
-                rhs=float(kl(Pmf(vm[0]), Pmf(vm[y]))),
-            )
-        )
     return None
 
 
@@ -536,15 +527,6 @@ def _vertex_checks(wm: np.ndarray, vms: np.ndarray, letters):
     return a, minima, failed, m
 
 
-def _symmetric_is_singular(r: float) -> bool:
-    """``is_singular_channel_matrix`` for W = r I + (1 - r) J / q, in closed form.
-
-    W's singular values are 1 and |r| (q - 1 times), and its rows are pmfs,
-    whose Euclidean norm is at most 1, so the gate is min(1, |r|) <= DET_TOL.
-    """
-    return min(1.0, abs(r)) <= DET_TOL
-
-
 class _DeltaPencil:
     """The vertex checks of every W = r I + (1 - r) J / q against one V, precomputed.
 
@@ -601,23 +583,23 @@ def less_noisy_exact(w, v) -> DominationVerdict:
     diag(V[x]) - A^T diag(W[x]) A is PSD on the complement of the all-ones
     vector; W is less noisy than V iff all q checks pass.  These are
     ``_vertex_checks`` on a stack of one, behind the singular-value gate
-    (``eigvalsh``, tolerance relative to the matrices, of order |A|^2).
+    (``eigvalsh``, tolerance relative to the matrices, of order |A|^2).  No
+    input is decided by a shortcut: the checks pass for the identity W and a
+    constant-row V, and a constant-row W is singular (SingularChannelError).
     When W = r I + c J and V is fixed by permutations carrying letter 0 to
     every letter (an additive V with distinct noise entries, for one), the
     check at letter 0 alone decides (``_orbit_letters``).  Dominates verdicts
     list the q smallest eigenvalues as margins (kind "vertex_psd"), or, when
     letter 0 decided alone, name that letter and its margin (kind
     "vertex_psd_orbit").  Fails verdicts carry an input pair with infinite
-    divergence under V only, when one exists, and otherwise a LoewnerWitness
-    at an interior input pmf from the first failing vertex.
+    divergence under V only, when one exists (``_divergence_pair_violation``),
+    and otherwise a LoewnerWitness, the smallest eigenpair of the PSD
+    comparison at an interior input pmf, from the first failing vertex.
     """
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
         raise ValueError(f"input alphabets differ: {wc.rows} vs {vc.rows}")
     wm, vm = wc.matrix, vc.matrix
-    shortcut = _shortcut(wm, vm)
-    if shortcut is not None:
-        return shortcut
     _require_invertible(wm)
     letters = _orbit_letters(vm) if _commutes_with_permutations(wm) else range(wc.rows)
     a, minima, failed, m = _vertex_checks(wm, vm[None], letters)
@@ -681,7 +663,11 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
     inclusion at an interior pmf, and the divergence inequalities on an
     interior pair.  A violation yields Fails with a witness and
     ``samples_used`` the 1-based position of its pair or sample in that
-    order; else Undetermined with q^2 + q + ``samples`` (nonnegative).
+    order; else Undetermined with q^2 + q + ``samples`` (nonnegative).  A
+    failed PSD comparison or range inclusion reports the smallest eigenpair
+    of the comparison (``psd_check``) as a LoewnerWitness, and a divergence
+    violation the pair from ``_divergence_pair_violation``.  A constant-row
+    V or an identity W is certified at once (``_shortcut``).
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -716,17 +702,9 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
         basis = eigenvectors[:, rank_mask]
         residual = b - basis @ (basis.T @ b)
         scale = max(1.0, float(np.abs(b).max()))
-        if np.abs(residual).max() > 1e-8 * scale:
-            # a direction of b outside a's range refutes the PSD comparison
-            _, _, vt = np.linalg.svd(residual)
-            direction = vt[0]
-            lam = float(direction @ (a - b) @ direction)
-            return _fails(
-                witness=LoewnerWitness(eigenvalue=lam, direction=direction, pmf=p),
-                samples_used=used,
-            )
         ok, lam, vec = psd_check(a - b)
-        if not ok:
+        # a direction of b outside a's range refutes the PSD comparison too
+        if not ok or np.abs(residual).max() > 1e-8 * scale:
             return _fails(
                 witness=LoewnerWitness(eigenvalue=lam, direction=vec, pmf=p), samples_used=used
             )
@@ -752,35 +730,26 @@ def loewner_gap(w, v, p) -> float:
 
 
 def chi2_violation_pair(w, v, witness: LoewnerWitness) -> tuple[np.ndarray, np.ndarray, float]:
-    """Turn a failed PSD check into an input pmf pair violating the chi-squared inequality.
+    """Turn a Loewner witness into an input pmf pair violating the chi-squared inequality.
 
-    Returns (p, q, gap) with gap = chi2(pW||qW) - chi2(pV||qV) < 0.  The pair
-    is exact because chi-squared with a fixed second argument is a quadratic
-    form: starting from the witness pmf, mix toward uniform until the
-    direct PSD comparison exhibits a negative direction g, then move from q
-    along the sum-zero correction of g.
+    Returns (p, q, gap) with gap = chi2(pW||qW) - chi2(pV||qV) < 0, in closed
+    form.  For an interior q, that difference is (p - q) L (p - q)^T with
+    L = W D_{qW}^{-1} W^T - V D_{qV}^{-1} V^T, and L q = 0.  With q the
+    witness pmf and d its unit direction (L d = lam d, lam < 0), j =
+    d - (sum d) q sums to zero and j L j^T = lam.  So p = q + step j / 2,
+    with step the largest that keeps q + step j nonnegative, is a pmf at
+    gap lam step^2 / 4.  The gap returned is recomputed by ``chi2``, and a
+    gap that rounding leaves nonnegative raises RuntimeError.
     """
     wm, vm = as_channel(w).matrix, as_channel(v).matrix
     if witness.pmf is None:
         raise ValueError("witness carries no input pmf")
-    base = witness.pmf
-    u = uniform_pmf(wm.shape[0]).probs
-    for s in (1e-9, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 1e-3, 1e-4):
-        q_arr = (1.0 - s) * base + s * u
-        if np.any(q_arr <= 0):
-            continue
-        diff = _loewner_difference(wm, vm, q_arr)
-        eigenvalues, eigenvectors = np.linalg.eigh(diff)
-        if eigenvalues[0] >= -1e-13 * max(1.0, np.abs(diff).max()):
-            continue
-        g = eigenvectors[:, 0]
-        j = g - g.sum() * q_arr  # sum-zero; diff annihilates q, so j.diff.j = g.diff.g < 0
-        negative = j < 0
-        step = 1.0 if not negative.any() else float(np.min(-q_arr[negative] / j[negative]))
-        p_arr = q_arr + 0.5 * step * j
-        p_arr = np.clip(p_arr, 0.0, None)
-        p_arr = p_arr / p_arr.sum()
-        gap = float(chi2(p_arr @ wm, q_arr @ wm)) - float(chi2(p_arr @ vm, q_arr @ vm))
-        if gap < 0:
-            return p_arr, q_arr, gap
-    raise RuntimeError("could not materialize a chi-squared violation from the witness")
+    q_arr, d = witness.pmf, witness.direction
+    j = d - d.sum() * q_arr
+    negative = j < 0
+    step = float(np.min(-q_arr[negative] / j[negative]))
+    p_arr = q_arr + 0.5 * step * j
+    gap = float(chi2(p_arr @ wm, q_arr @ wm)) - float(chi2(p_arr @ vm, q_arr @ vm))
+    if not gap < 0:
+        raise RuntimeError(f"the chi-squared gap {gap} of the witness pair is not negative")
+    return p_arr, q_arr, gap

@@ -39,6 +39,7 @@ import numpy as np
 
 from .channels import (
     Channel,
+    _symmetric_is_singular,
     additive_channel,
     as_channel,
     as_pmf,
@@ -57,7 +58,6 @@ from .preorders import (
     _DeltaPencil,
     _orbit_letters,
     _rows_all_equal,
-    _symmetric_is_singular,
     _vertex_checks,
     is_degraded,  # not called here; bench/tracing.py wraps this name
     less_noisy_exact,  # not called here; bench/tracing.py wraps this name
@@ -276,7 +276,7 @@ def delta_star(v, tol: float = 1e-4) -> DeltaStarResult:
     Each probe is the exact vertex test of ``less_noisy_exact``, with no
     witness, and needs W_delta invertible (delta below the boundary) but not
     V.  With r = 1 - delta - delta/(q-1), W_delta = r I + (1 - r) J / q, so
-    its singularity gate is closed form (``preorders._symmetric_is_singular``),
+    its singularity gate is closed form (``channels._symmetric_is_singular``),
     and a probe so close to the boundary that W_delta counts as singular ends
     the bisection.  Every vertex matrix is a quadratic in t = 1/r whose
     coefficients are computed once per call (``preorders._DeltaPencil``); a

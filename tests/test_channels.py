@@ -6,7 +6,7 @@ import pytest
 from channel_order.channels import (
     Channel,
     Pmf,
-    SymmetricParam,
+    _symmetric_is_singular,
     additive_channel,
     channel_from_csv,
     channel_from_json,
@@ -172,6 +172,11 @@ def test_symmetric_inverse_param():
     assert symmetric_inverse_param(2, 0.11) == pytest.approx(-0.11 / 0.78, abs=1e-12)
     with pytest.raises(ValueError):
         symmetric_inverse_param(3, 2 / 3)
+    # eigenvalue 8.5e-11: inside the singularity gate of W_delta
+    # (min(1, |r|) <= 1e-10), where a 1e-12 test once returned tau ~ -7.8e9
+    assert _symmetric_is_singular(symmetric_eigenvalue(3, 0.66666666661))
+    with pytest.raises(ValueError, match="singular"):
+        symmetric_inverse_param(3, 0.66666666661)
 
 
 def test_symmetric_compose_param():
@@ -196,14 +201,6 @@ def test_symmetric_family_is_abelian_group():
         prod = symmetric_matrix(q, eps) @ symmetric_matrix(q, delta)
         assert np.allclose(prod, symmetric_matrix(q, tau), atol=1e-12)
         assert np.allclose(prod, symmetric_matrix(q, delta) @ symmetric_matrix(q, eps))
-
-
-def test_symmetric_param_wrapper():
-    p = SymmetricParam(3, 0.2)
-    assert p.eigenvalue() == pytest.approx(0.7)
-    assert p.compose(SymmetricParam(3, 0.2)).delta == pytest.approx(0.34)
-    assert np.allclose(p.inverse().matrix() @ p.matrix(), np.eye(3), atol=1e-12)
-    assert np.allclose(p.noise_pmf().probs, [0.8, 0.1, 0.1])
 
 
 # --- other constructors -----------------------------------------------------

@@ -304,6 +304,16 @@ def test_constants_edge_cases(capsys):
     assert code == 2
 
 
+def test_constants_tau_inverse_is_null_inside_the_singular_gate(capsys):
+    # eigenvalue 8.5e-11: W_delta counts as singular (min(1, |r|) <= 1e-10),
+    # as for delta* probes and the region; a 1e-12 test once printed -7.8e9
+    code, out, _ = run(capsys, ["constants", "--q", "3", "--delta", "0.66666666661"])
+    assert code == 0
+    payload = json.loads(out)
+    assert 0 < payload["eigenvalue"] < 1e-10
+    assert payload["tau_inverse"] is None
+
+
 # --- dirichlet-check ----------------------------------------------------------------
 
 

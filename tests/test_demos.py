@@ -15,7 +15,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # pyproject's warning filter covers the pytest process only, not this child
     result = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -8,6 +8,7 @@ import pytest
 from channel_order.channels import (
     Channel,
     Pmf,
+    _symmetric_is_singular,
     erasure_channel,
     point_mass,
     symmetric_channel,
@@ -21,6 +22,7 @@ from channel_order.dirichlet import lsi_functional
 from channel_order.divergences import chi2
 from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
+    DIVERGENCE_TOL,
     PSD_TOL,
     DivergencePairWitness,
     DominationVerdict,
@@ -32,7 +34,6 @@ from channel_order.preorders import (
     _orbit_letters,
     _passes_by_cholesky,
     _require_invertible,
-    _symmetric_is_singular,
     _vertex_checks,
     _vertex_matrix,
     chi2_violation_pair,
@@ -437,12 +438,26 @@ def test_less_noisy_exact_shortcuts():
     v = random_channel(rng, 3)
     assert less_noisy_exact(Channel(np.eye(3)), v).dominates
     assert less_noisy_exact(v, constant_channel(3)).dominates
-    assert less_noisy_exact(constant_channel(3), v).status is Status.FAILS
-    # a constant-row W is refuted by V's row 0 and the first row that differs from it
+    # a constant-row W is singular: the exact test refuses it, and the
+    # sampled test refutes it through the divergence pair kernel
+    with pytest.raises(SingularChannelError):
+        less_noisy_exact(constant_channel(3), v)
     v = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
-    witness = less_noisy_exact(constant_channel(3), v).witness
-    assert witness.p.tolist() == [1.0, 0.0, 0.0] and witness.q.tolist() == [0.0, 0.0, 1.0]
-    assert witness.lhs == 0.0 and witness.rhs > 0.0
+    verdict = less_noisy_sampled(constant_channel(3), v, samples=0)
+    witness = verdict.witness
+    assert verdict.status is Status.FAILS and verdict.samples_used == 1
+    assert witness.p.tolist() == [1 / 3, 1 / 3, 1 / 3] and witness.q.tolist() == [1.0, 0.0, 0.0]
+    assert witness.lhs == 0.0 and witness.rhs > witness.lhs + DIVERGENCE_TOL
+
+
+def test_a_constant_row_w_is_never_refuted_by_a_zero_gap():
+    # V within 1e-9 of W = J/3: the constant-row W shortcut once returned
+    # Fails with lhs = rhs = 0.0, a witness that shows no violation
+    w = constant_channel(3)
+    v = Channel(np.full((3, 3), 1 / 3) + 1e-9 * np.array([[1.0, -1.0, 0.0], [0, 0, 0], [0, 0, 0]]))
+    with pytest.raises(SingularChannelError):
+        less_noisy_exact(w, v)
+    assert less_noisy_sampled(w, v, samples=200).status is Status.UNDETERMINED
 
 
 def test_vertex_checks_match_exact_without_shortcuts():
@@ -699,3 +714,27 @@ def test_chi2_violation_pair_from_witness():
         chi2(Pmf(p @ v.matrix), Pmf(q @ v.matrix))
     )
     assert direct == pytest.approx(gap, rel=1e-9)
+
+
+def test_chi2_violation_pair_near_delta_star():
+    # W_delta 1e-7 above delta*(V) (bracket upper end 0.025663541605686287 at
+    # tol 1e-10).  The witness pmf lies within 1e-6 of a vertex, and a search
+    # over nine mixing weights toward uniform once raised RuntimeError here
+    v = Channel(
+        [
+            [0.19325978676430752, 0.025015077994917246, 0.7817251352407752],
+            [0.04132098961137428, 0.9251117848488215, 0.033567225539804166],
+            [0.8759855277560956, 0.011568004578100881, 0.1124464676658035],
+        ]
+    )
+    w = symmetric_channel(3, 0.025663641605686287)
+    witness = less_noisy_exact(w, v).witness
+    assert isinstance(witness, LoewnerWitness) and witness.pmf.max() > 1 - 1e-6
+    p, q, gap = chi2_violation_pair(w, v, witness)
+    assert np.array_equal(q, witness.pmf)
+    assert p.min() > 0 and abs(p.sum() - 1.0) <= 1e-12
+    assert gap < 0
+    # p - q = step j / 2 with j = d - (sum d) q, and the gap is eigenvalue step^2 / 4
+    d = witness.direction
+    step = 2.0 * np.abs(p - q).max() / np.abs(d - d.sum() * q).max()
+    assert gap == pytest.approx(witness.eigenvalue * step**2 / 4, rel=1e-6)

@@ -37,6 +37,7 @@ from hypothesis.extra.numpy import arrays
 from channel_order.channels import (
     Channel,
     Pmf,
+    _symmetric_is_singular,
     additive_channel,
     erasure_channel,
     symmetric_channel,
@@ -58,7 +59,6 @@ from channel_order.preorders import (
     _commutes_with_permutations,
     _orbit_letters,
     _require_invertible,
-    _symmetric_is_singular,
     _vertex_checks,
     less_noisy_exact,
     less_noisy_sampled,
@@ -140,6 +140,22 @@ def test_exact_refutations_reverify(pair):
     assert loewner_gap(w, v, witness.pmf) < 0
     _, _, gap = chi2_violation_pair(w, v, witness)
     assert gap < 0
+
+
+@PROPERTY_SETTINGS
+@given(channel_pairs())
+def test_clear_loewner_witnesses_yield_a_chi2_pair(pair):
+    # a vertex margin below -1e-6 leaves room for rounding: every Loewner
+    # witness of either test then gives a chi-squared pair with a negative gap
+    w, v = pair
+    margin = np.nanmin(_vertex_checks(w.matrix, v.matrix[None], range(w.rows))[1])
+    if margin >= -1e-6:
+        return
+    for verdict in (less_noisy_exact(w, v), less_noisy_sampled(w, v, samples=20)):
+        if isinstance(verdict.witness, LoewnerWitness):
+            assert verdict.witness.eigenvalue < 0
+            _, _, gap = chi2_violation_pair(w, v, verdict.witness)
+            assert gap < 0
 
 
 def _per_letter_vertex_checks(wm: np.ndarray, vm: np.ndarray):

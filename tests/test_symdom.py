@@ -24,6 +24,7 @@ from channel_order.preorders import (
     is_degraded,
     is_degraded_additive,
     less_noisy_exact,
+    less_noisy_sampled,
     loewner_gap,
     majorizes,
 )
@@ -207,13 +208,16 @@ def test_lower_hull_member_at_the_boundary_holds_only_uniform():
 def test_classify_next_to_the_boundary_with_a_constant_row_channel():
     # one ulp below (q-1)/q, W_delta has equal rows within 1e-12; a pmf 1e-12
     # from uniform is then neither degraded nor in the hull, yet inside the
-    # ball, and the less-noisy test must give less_noisy_exact's verdict
-    # instead of refusing a singular W
+    # ball, and the classifier must certify the constant-row circulant
+    # instead of refusing a singular W.  The exact test refuses that W; the
+    # sampled test, which the CLI falls back to, certifies the circulant
     q, delta = 5, float(np.nextafter(0.8, 0.0))
     p = np.full(q, 0.2) + 0.36e-12 * np.array([-1.0, -1.0, -1.0, 1.5, 1.5])
     assert not majorizes(symmetric_noise_pmf(q, delta).probs, p)
     circ = Channel(circulant(cyclic_group(q), p))
-    assert less_noisy_exact(symmetric_channel(q, delta), circ).dominates
+    with pytest.raises(SingularChannelError):
+        less_noisy_exact(symmetric_channel(q, delta), circ)
+    assert less_noisy_sampled(symmetric_channel(q, delta), circ, samples=0).dominates
     assert classify_noise_pmf(q, delta, p) == "LESS_NOISY"
 
 
