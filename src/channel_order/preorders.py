@@ -306,15 +306,16 @@ def is_degraded_additive(group: FiniteAbelianGroup, w, v) -> DominationVerdict:
 
 def _psd_floor(m: np.ndarray):
     """The PSD band -PSD_TOL * max(1, |M|_max) per matrix of a stack; eigenvalues >= it pass."""
-    return -PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    return -PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
 
 
 def _passes_by_cholesky(m: np.ndarray) -> bool:
     """``psd_check``'s verdict on a symmetric M, without an eigenvalue.
 
     M passes when M - floor I has a Cholesky factor, which is the eigenvalue
-    band up to rounding at its edge.  Cholesky reads the lower triangle.
-    Overwrites M's diagonal.
+    band up to rounding at its edge.  It decides every ``delta_star`` probe
+    and every sample of ``less_noisy_sampled``, where no margin is printed.
+    Cholesky reads the lower triangle.  Overwrites M's diagonal.
     """
     m.flat[:: len(m) + 1] -= _psd_floor(m)
     try:
@@ -389,15 +390,16 @@ def _ones_complement(s: int) -> np.ndarray:
     return basis
 
 
-def _loewner(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """M D_{pM}^{-1} M^T, the chi-squared form of channel M at input pmf p."""
-    return (m / (p @ m)) @ m.T
-
-
 def _loewner_difference(wm: np.ndarray, vm: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The symmetrized W D_{pW}^{-1} W^T - V D_{pV}^{-1} V^T, PSD iff the comparison holds at p."""
-    diff = _loewner(wm, p) - _loewner(vm, p)
+    diff = (wm / (p @ wm)) @ wm.T - (vm / (p @ vm)) @ vm.T
     return 0.5 * (diff + diff.T)
+
+
+def _loewner_witness(wm: np.ndarray, vm: np.ndarray, p: np.ndarray) -> LoewnerWitness:
+    """The smallest eigenpair of the PSD comparison at p, by one ``eigh``."""
+    eigenvalues, eigenvectors = np.linalg.eigh(_loewner_difference(wm, vm, p))
+    return LoewnerWitness(eigenvalue=float(eigenvalues[0]), direction=eigenvectors[:, 0], pmf=p)
 
 
 def _support_witness(wm: np.ndarray, vm: np.ndarray) -> Optional[DivergencePairWitness]:
@@ -435,8 +437,7 @@ def _interior_witness(
     s = 0.5 if at_uniform <= 0.0 else 0.5 * lam / (lam - at_uniform)
     p = s * uniform
     p[x] += 1.0 - s
-    eigenvalues, eigenvectors = np.linalg.eigh(_loewner_difference(wm, vm, p))
-    return LoewnerWitness(eigenvalue=float(eigenvalues[0]), direction=eigenvectors[:, 0], pmf=p)
+    return _loewner_witness(wm, vm, p)
 
 
 def _vertex_matrix(basis: np.ndarray, ab: np.ndarray, w_x: np.ndarray, v_x: np.ndarray) -> np.ndarray:
@@ -463,7 +464,7 @@ def _commutes_with_permutations(wm: np.ndarray) -> bool:
     q = wm.shape[0]
     if wm.shape[1] != q:
         return False
-    expected = np.full((q, q), wm[0, 1])
+    expected = np.full((q, q), wm[0, -1])
     np.fill_diagonal(expected, wm[0, 0])
     return bool((wm == expected).all())
 
@@ -519,7 +520,7 @@ def _vertex_checks(wm: np.ndarray, vms: np.ndarray, letters):
     for i, x in enumerate(letters):
         m = _vertex_matrix(basis, ab, wm[x], vms[:, x])
         m = 0.5 * (m + np.swapaxes(m, 1, 2))
-        minima[:, i] = np.linalg.eigvalsh(m)[:, 0]
+        minima[:, i] = np.linalg.eigvalsh(m).min(axis=1, initial=np.inf)
         bad = minima[:, i] < _psd_floor(m)
         failed[bad & (failed < 0)] = x
         if (failed >= 0).all():
@@ -589,12 +590,13 @@ def less_noisy_exact(w, v) -> DominationVerdict:
     When W = r I + c J and V is fixed by permutations carrying letter 0 to
     every letter (an additive V with distinct noise entries, for one), the
     check at letter 0 alone decides (``_orbit_letters``).  Dominates verdicts
-    list the q smallest eigenvalues as margins (kind "vertex_psd"), or, when
-    letter 0 decided alone, name that letter and its margin (kind
-    "vertex_psd_orbit").  Fails verdicts carry an input pair with infinite
-    divergence under V only, when one exists (``_divergence_pair_violation``),
-    and otherwise a LoewnerWitness, the smallest eigenpair of the PSD
-    comparison at an interior input pmf, from the first failing vertex.
+    list the q smallest eigenvalues as margins (kind "vertex_psd"; inf for
+    the empty check of a V with one output column), or, when letter 0
+    decided alone, name that letter and its margin (kind "vertex_psd_orbit").
+    Fails verdicts carry an input pair with infinite divergence under V only,
+    when one exists (``_divergence_pair_violation``), and otherwise a
+    LoewnerWitness, the smallest eigenpair of the PSD comparison at an
+    interior input pmf, from the first failing vertex.
     """
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
@@ -659,15 +661,17 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
     First checks the KL, then the chi-squared output divergence inequality
     on q^2 + q boundary input pairs, one array pass per family: (uniform,
     e_x), then (e_x, uniform), then (e_x, e_y) for x != y, row-major.  Each
-    of ``samples`` draws then checks the PSD comparison and its range
-    inclusion at an interior pmf, and the divergence inequalities on an
-    interior pair.  A violation yields Fails with a witness and
-    ``samples_used`` the 1-based position of its pair or sample in that
-    order; else Undetermined with q^2 + q + ``samples`` (nonnegative).  A
-    failed PSD comparison or range inclusion reports the smallest eigenpair
-    of the comparison (``psd_check``) as a LoewnerWitness, and a divergence
-    violation the pair from ``_divergence_pair_violation``.  A constant-row
-    V or an identity W is certified at once (``_shortcut``).
+    of ``samples`` draws then checks the PSD comparison at an interior pmf
+    by one Cholesky (``_passes_by_cholesky``, band ``_psd_floor``), and the
+    divergence inequalities on an interior pair.  A PSD comparison already
+    puts the range of V's form inside W's, so no range test is made.  A
+    violation yields Fails with a witness and ``samples_used`` the 1-based
+    position of its pair or sample in that order; else Undetermined with
+    q^2 + q + ``samples`` (nonnegative).  A failed PSD comparison reports
+    the smallest eigenpair of the comparison, from one ``eigh`` at that
+    sample alone, as a LoewnerWitness, and a divergence violation the pair
+    from ``_divergence_pair_violation``.  A constant-row V or an identity W
+    is certified at once (``_shortcut``).
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -695,19 +699,8 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
     for _ in range(samples):
         used += 1
         p = sample_interior_pmf(rng, q)
-        a, b = _loewner(wm, p), _loewner(vm, p)
-        # range inclusion R(b) within R(a), via the orthogonal projector on R(a)
-        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (a + a.T))
-        rank_mask = eigenvalues > 1e-12 * max(1.0, eigenvalues[-1])
-        basis = eigenvectors[:, rank_mask]
-        residual = b - basis @ (basis.T @ b)
-        scale = max(1.0, float(np.abs(b).max()))
-        ok, lam, vec = psd_check(a - b)
-        # a direction of b outside a's range refutes the PSD comparison too
-        if not ok or np.abs(residual).max() > 1e-8 * scale:
-            return _fails(
-                witness=LoewnerWitness(eigenvalue=lam, direction=vec, pmf=p), samples_used=used
-            )
+        if not _passes_by_cholesky(_loewner_difference(wm, vm, p)):
+            return _fails(witness=_loewner_witness(wm, vm, p), samples_used=used)
         bad = _divergence_pair_violation(wm, vm, p[None], sample_interior_pmf(rng, q)[None])
         if bad is not None:
             return _fails(witness=bad[1], samples_used=used)
@@ -738,13 +731,18 @@ def chi2_violation_pair(w, v, witness: LoewnerWitness) -> tuple[np.ndarray, np.n
     witness pmf and d its unit direction (L d = lam d, lam < 0), j =
     d - (sum d) q sums to zero and j L j^T = lam.  So p = q + step j / 2,
     with step the largest that keeps q + step j nonnegative, is a pmf at
-    gap lam step^2 / 4.  The gap returned is recomputed by ``chi2``, and a
-    gap that rounding leaves nonnegative raises RuntimeError.
+    gap lam step^2 / 4.  A witness whose eigenvalue is not below the PSD
+    band at its pmf (``_psd_floor`` of the comparison) shows no violation
+    and raises RuntimeError up front.  The gap returned is recomputed by
+    ``chi2``, and a gap that rounding leaves nonnegative raises RuntimeError.
     """
     wm, vm = as_channel(w).matrix, as_channel(v).matrix
     if witness.pmf is None:
         raise ValueError("witness carries no input pmf")
     q_arr, d = witness.pmf, witness.direction
+    band = float(_psd_floor(_loewner_difference(wm, vm, q_arr)))
+    if not witness.eigenvalue < band:
+        raise RuntimeError(f"the witness eigenvalue {witness.eigenvalue} lies in the PSD band {band}")
     j = d - d.sum() * q_arr
     negative = j < 0
     step = float(np.min(-q_arr[negative] / j[negative]))

@@ -162,6 +162,24 @@ def test_check_less_noisy_orbit_certificate_is_strict_json(capsys, tmp_path):
     assert certificate["min_eigenvalue"] > 0
 
 
+@pytest.mark.parametrize(
+    "w, v, margins",
+    [
+        ([[0.9, 0.1], [0.2, 0.8]], [[1.0], [1.0]], ["inf", "inf"]),
+        ([[1.0]], [[1.0]], ["inf"]),
+        ([[1.0]], [[0.5, 0.5]], [0.5]),
+    ],
+)
+def test_check_less_noisy_one_output_v_and_one_letter_alphabet(capsys, tmp_path, w, v, margins):
+    # both are dominated; they once exited 1 with an IndexError traceback
+    w_path = write_channel(tmp_path / "w.csv", Channel(w))
+    v_path = write_channel(tmp_path / "v.csv", Channel(v))
+    code, out, _ = run(capsys, ["check-less-noisy", "--w", w_path, "--v", v_path])
+    assert code == 0
+    certificate = json.loads(out)["certificate"]
+    assert certificate["kind"] == "vertex_psd" and certificate["min_eigenvalues"] == margins
+
+
 def test_check_less_noisy_rejects_a_negative_sample_budget(capsys, tmp_path):
     # a singular W sends the call to the sampled search, which used to accept -3
     w = Channel(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))

@@ -30,9 +30,11 @@ from channel_order.preorders import (
     SingularChannelError,
     Status,
     _DeltaPencil,
+    _loewner_difference,
     _ones_complement,
     _orbit_letters,
     _passes_by_cholesky,
+    _psd_floor,
     _require_invertible,
     _vertex_checks,
     _vertex_matrix,
@@ -460,6 +462,25 @@ def test_a_constant_row_w_is_never_refuted_by_a_zero_gap():
     assert less_noisy_sampled(w, v, samples=200).status is Status.UNDETERMINED
 
 
+@pytest.mark.parametrize(
+    "w, v, margins",
+    [
+        # a V with one output column is constant: its vertex checks are empty
+        ([[0.9, 0.1], [0.2, 0.8]], [[1.0], [1.0]], [math.inf, math.inf]),
+        # one input letter: every divergence is 0
+        ([[1.0]], [[1.0]], [math.inf]),
+        ([[1.0]], [[0.5, 0.5]], [0.5]),
+    ],
+)
+def test_less_noisy_exact_one_output_v_and_one_letter_alphabet(w, v, margins):
+    # both once raised IndexError: W[0, 1] and the eigenvalue column of an
+    # empty vertex matrix do not exist
+    verdict = less_noisy_exact(Channel(w), Channel(v))
+    assert verdict.dominates
+    assert verdict.certificate["kind"] == "vertex_psd"
+    assert verdict.certificate["min_eigenvalues"] == margins
+
+
 def test_vertex_checks_match_exact_without_shortcuts():
     # the vertex checks take no identity or constant-row V shortcut; at every
     # letter they must reach the verdicts that less_noisy_exact's shortcuts give
@@ -637,6 +658,19 @@ def test_less_noisy_sampled_rejects_a_negative_budget():
     assert less_noisy_sampled(w, v, samples=0).status is Status.UNDETERMINED
 
 
+def test_a_range_violation_inside_the_psd_band_is_not_refuted():
+    # a tall W and V = (1 - eps) W K + eps N: V's form leaves W's range by
+    # ~eps, but its smallest PSD eigenvalue is ~eps^2, inside the band.  A
+    # range test once refuted this pair at the first sample with eigenvalue
+    # -6e-15 against a band of -1e-9, a witness that shows no violation
+    w = np.array([[0.8, 0.2], [0.4, 0.6], [0.2, 0.8], [0.5, 0.5]])
+    k = np.array([[0.5, 0.3, 0.2], [0.4, 0.1, 0.5]])
+    n = np.array([[0.3, 0.3, 0.4], [0.3, 0.5, 0.2], [0.3, 0.2, 0.5], [0.3, 0.3, 0.4]])
+    eps = 1e-7
+    verdict = less_noisy_sampled(w, (1 - eps) * (w @ k) + eps * n, samples=200)
+    assert verdict.status is Status.UNDETERMINED and verdict.samples_used == 4**2 + 4 + 200
+
+
 def test_less_noisy_sampled_identity_shortcut():
     rng = np.random.default_rng(3)
     assert less_noisy_sampled(Channel(np.eye(3)), random_channel(rng, 3)).dominates
@@ -714,6 +748,23 @@ def test_chi2_violation_pair_from_witness():
         chi2(Pmf(p @ v.matrix), Pmf(q @ v.matrix))
     )
     assert direct == pytest.approx(gap, rel=1e-9)
+
+
+def test_chi2_violation_pair_refuses_an_in_band_witness():
+    # V is W with its outputs relabelled, an equivalent channel, so the PSD
+    # comparison is 0 up to rounding.  This eigenpair of it has a
+    # rounding-level eigenvalue; the closed form once turned it into a pair
+    # at gap -7e-18
+    w = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    v = w[:, [1, 2, 0]]
+    witness = LoewnerWitness(
+        eigenvalue=-1.1102230246251565e-16,
+        direction=np.array([-0.7071067811865475, 0.0, 0.7071067811865475]),
+        pmf=np.array([0.34, 0.42, 0.24]),
+    )
+    assert witness.eigenvalue >= _psd_floor(_loewner_difference(w, v, witness.pmf))
+    with pytest.raises(RuntimeError, match="band"):
+        chi2_violation_pair(w, v, witness)
 
 
 def test_chi2_violation_pair_near_delta_star():

@@ -57,7 +57,9 @@ from channel_order.preorders import (
     is_degraded,
     is_singular_channel_matrix,
     _commutes_with_permutations,
+    _loewner_difference,
     _orbit_letters,
+    _psd_floor,
     _require_invertible,
     _vertex_checks,
     less_noisy_exact,
@@ -156,6 +158,41 @@ def test_clear_loewner_witnesses_yield_a_chi2_pair(pair):
             assert verdict.witness.eigenvalue < 0
             _, _, gap = chi2_violation_pair(w, v, verdict.witness)
             assert gap < 0
+
+
+@st.composite
+def rank_deficient_pairs(draw):
+    """A W the exact test refuses (a repeated or affinely dependent row, tall
+    or wide) and V = (1 - eps) W K + eps N, near W's degraded channels for a
+    small eps and a random channel at eps = 1."""
+    q = draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(("repeated", "affine", "tall", "wide")))
+    cols = {"tall": draw(st.integers(1, q - 1)), "wide": q + draw(st.integers(1, 2))}.get(kind, q)
+    w = _stochastic_rows(draw, q, cols)
+    if kind == "repeated":
+        w[-1] = w[0]
+    elif kind == "affine":
+        t = draw(st.floats(0.1, 0.9))
+        w[-1] = t * w[0] + (1.0 - t) * w[1]
+    r = draw(st.integers(2, q + 1))
+    eps = draw(st.sampled_from((1e-7, 1e-5, 1e-3, 0.1, 1.0)))
+    v = (1.0 - eps) * (w @ _stochastic_rows(draw, cols, r)) + eps * _stochastic_rows(draw, q, r)
+    return Channel(w), Channel(v)
+
+
+@PROPERTY_SETTINGS
+@given(rank_deficient_pairs())
+def test_sampled_loewner_witnesses_lie_below_the_psd_band(pair):
+    # the sampled search refutes by its PSD comparison alone, so every Loewner
+    # witness it returns shows a violation that the band cannot absorb
+    w, v = pair
+    witness = less_noisy_sampled(w, v, samples=20).witness
+    if not isinstance(witness, LoewnerWitness):
+        return
+    assert witness.eigenvalue < _psd_floor(_loewner_difference(w.matrix, v.matrix, witness.pmf))
+    assert loewner_gap(w, v, witness.pmf) < 0
+    _, _, gap = chi2_violation_pair(w, v, witness)
+    assert gap < 0
 
 
 def _per_letter_vertex_checks(wm: np.ndarray, vm: np.ndarray):
