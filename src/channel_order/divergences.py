@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Pmf, as_channel, as_pmf, uniform_pmf
+from .channels import as_channel, as_pmf
 
 
 class DivergenceValue(float):
@@ -80,14 +80,18 @@ def shannon_entropy(p) -> float:
 
 
 def eta_tv(w) -> float:
-    """Dobrushin contraction coefficient: the maximum TV distance between rows."""
+    """Dobrushin contraction coefficient: the maximum TV distance between rows, in one pass."""
     m = as_channel(w).matrix
-    best = 0.0
-    for i in range(m.shape[0]):
-        d = 0.5 * np.abs(m[i + 1 :] - m[i]).sum(axis=1)
-        if d.size:
-            best = max(best, float(d.max()))
-    return best
+    xs, ys = np.triu_indices(m.shape[0], 1)
+    return float((0.5 * np.abs(m[ys] - m[xs]).sum(axis=1)).max(initial=0.0))
+
+
+def _maximal_correlations(ps: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``maximal_correlation`` of each row of ``ps`` (interior, unchecked) with m, by one stacked SVD."""
+    if min(m.shape) < 2:
+        return np.zeros(len(ps))
+    dtm = np.sqrt(ps)[:, :, None] * m / np.sqrt(ps @ m)[:, None, :]
+    return np.minimum(1.0, np.linalg.svd(dtm, compute_uv=False)[:, 1])
 
 
 def maximal_correlation(p, w) -> float:
@@ -102,14 +106,9 @@ def maximal_correlation(p, w) -> float:
         raise ValueError("pmf length does not match channel input size")
     if np.any(pv <= 0):
         raise ValueError("input pmf must be strictly positive")
-    out = pv @ m
-    if np.any(out <= 0):
+    if np.any(pv @ m <= 0):
         raise ValueError("output pmf must be strictly positive")
-    dtm = np.sqrt(pv)[:, None] * m / np.sqrt(out)[None, :]
-    sv = np.linalg.svd(dtm, compute_uv=False)
-    if sv.size < 2:
-        return 0.0
-    return float(min(1.0, sv[1]))
+    return float(_maximal_correlations(pv[None], m)[0])
 
 
 def eta_kl_bounds(w, samples: int = 200, seed: int = 0) -> tuple[float, float]:
@@ -118,16 +117,15 @@ def eta_kl_bounds(w, samples: int = 200, seed: int = 0) -> tuple[float, float]:
     The lower bound is the best squared maximal correlation found over the
     uniform pmf and ``samples`` random interior input pmfs; the upper bound is
     the Dobrushin coefficient.  The same bracket also bounds the chi-squared
-    contraction coefficient, which coincides with the KL one.
+    contraction coefficient, which coincides with the KL one.  The draws are
+    scored in one stacked SVD.
     """
     ch = as_channel(w)
     q = ch.rows
     rng = np.random.default_rng(seed)
-    lower = maximal_correlation(uniform_pmf(q), ch) ** 2
-    for _ in range(samples):
-        p = rng.dirichlet(np.ones(q))
-        p = (1.0 - 1e-6) * p + 1e-6 / q
-        lower = max(lower, maximal_correlation(Pmf(p), ch) ** 2)
+    draws = (1.0 - 1e-6) * rng.dirichlet(np.ones(q), size=max(samples, 0)) + 1e-6 / q
+    ps = np.vstack([np.full((1, q), 1.0 / q), draws])
+    lower = float(np.max(_maximal_correlations(ps, ch.matrix) ** 2))
     upper = eta_tv(ch)
     if lower > upper + 1e-12:
         raise AssertionError(f"contraction bracket inverted: {lower} > {upper}")
@@ -144,19 +142,20 @@ class LocalCheckReport:
 
 
 def kl_chi2_local_check(p, q, lambda_sequence) -> LocalCheckReport:
-    """Check that (2/t^2) D(t p + (1-t) q || q) approaches chi2(p||q) as t -> 0."""
+    """Check that (2/t^2) D(t p + (1-t) q || q) approaches chi2(p||q) as t -> 0, in one pass."""
     pv, qv = _pair(p, q)
     if np.any(qv <= 0):
         raise ValueError("second argument must be strictly interior")
-    target = float(chi2(pv, qv))
-    entries = []
-    for lam in lambda_sequence:
+    lams = list(lambda_sequence)
+    for lam in lams:
         if not 0 < lam <= 1:
             raise ValueError(f"mixture weights must lie in (0, 1], got {lam}")
-        mix = qv + lam * (pv - qv)  # exact when p = q
-        entries.append((float(lam), float(2.0 / lam**2 * kl(Pmf(mix), Pmf(qv)))))
+    mixes = qv + np.array(lams, dtype=float).reshape(-1, 1) * (pv - qv)  # exact when p = q
+    kls = _kl_chi2_rows(mixes, qv)[0].tolist()
+    entries = tuple((float(lam), float(2.0 / lam**2 * d)) for lam, d in zip(lams, kls))
+    target = float(_kl_chi2_rows(pv, qv)[1])
     gap = abs(entries[-1][1] - target) if entries else math.nan
-    return LocalCheckReport(entries=tuple(entries), chi2_value=target, final_gap=gap)
+    return LocalCheckReport(entries=entries, chi2_value=target, final_gap=gap)
 
 
 @dataclass(frozen=True)

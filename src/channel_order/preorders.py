@@ -640,11 +640,14 @@ def _divergence_pair_violation(
 ) -> Optional[tuple[int, DivergencePairWitness]]:
     """(i, witness) for the first pair (ps[i], qs[i]) whose output divergences break the inequality.
 
-    ``ps`` and ``qs`` are input pmf stacks that broadcast against each other.
-    KL is checked before chi-squared within a pair.  None when all pass.
+    ``ps`` and ``qs`` are 2-d input pmf stacks that broadcast against each
+    other.  Each row is mapped by its own vector-matrix product, so a pair's
+    divergences do not depend on the rows stacked with it.  KL is checked
+    before chi-squared within a pair.  None when all pass.
     """
-    lhs = np.stack(_kl_chi2_rows(ps @ wm, qs @ wm), axis=1)
-    rhs = np.stack(_kl_chi2_rows(ps @ vm, qs @ vm), axis=1)
+    lhs, rhs = (
+        np.stack(_kl_chi2_rows((ps[:, None] @ m)[:, 0], (qs[:, None] @ m)[:, 0]), axis=1) for m in (wm, vm)
+    )
     # infinity >= infinity is fine; a finite lhs below an infinite or larger
     # rhs refutes domination.  Raveled row-major, KL comes before chi-squared.
     bad = (rhs > lhs + DIVERGENCE_TOL).ravel()
@@ -659,19 +662,19 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
     """Sampled refutation search for the less-noisy order (never certifies).
 
     First checks the KL, then the chi-squared output divergence inequality
-    on q^2 + q boundary input pairs, one array pass per family: (uniform,
-    e_x), then (e_x, uniform), then (e_x, e_y) for x != y, row-major.  Each
-    of ``samples`` draws then checks the PSD comparison at an interior pmf
-    by one Cholesky (``_passes_by_cholesky``, band ``_psd_floor``), and the
-    divergence inequalities on an interior pair.  A PSD comparison already
-    puts the range of V's form inside W's, so no range test is made.  A
-    violation yields Fails with a witness and ``samples_used`` the 1-based
-    position of its pair or sample in that order; else Undetermined with
-    q^2 + q + ``samples`` (nonnegative).  A failed PSD comparison reports
-    the smallest eigenpair of the comparison, from one ``eigh`` at that
-    sample alone, as a LoewnerWitness, and a divergence violation the pair
-    from ``_divergence_pair_violation``.  A constant-row V or an identity W
-    is certified at once (``_shortcut``).
+    on q^2 + q boundary input pairs in one array pass, stacked in this order:
+    (uniform, e_x), then (e_x, uniform), then (e_x, e_y) for x != y,
+    row-major.  Each of ``samples`` draws then checks the PSD comparison at
+    an interior pmf by one Cholesky (``_passes_by_cholesky``, band
+    ``_psd_floor``), and the divergence inequalities on an interior pair.  A
+    PSD comparison already puts the range of V's form inside W's, so no
+    range test is made.  A violation yields Fails with a witness and
+    ``samples_used`` the 1-based position of its pair or sample in that
+    order; else Undetermined with q^2 + q + ``samples`` (nonnegative).  A
+    failed PSD comparison reports the smallest eigenpair of the comparison,
+    from one ``eigh`` at that sample alone, as a LoewnerWitness, and a
+    divergence violation the pair from ``_divergence_pair_violation``.  A
+    constant-row V or an identity W is certified at once (``_shortcut``).
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -683,17 +686,15 @@ def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVe
     if shortcut is not None:
         return shortcut
     q = wc.rows
-    used = 0
     # boundary pairs catch infinite-vs-finite separations, e.g. (uniform, point
-    # mass) under an erasure channel; (e_x, e_y) is built once the others pass
-    uniform, eye = np.full((1, q), 1.0 / q), np.eye(q)
+    # mass) under an erasure channel
+    uniform, eye = np.full((q, q), 1.0 / q), np.eye(q)
     xs, ys = np.nonzero(~np.eye(q, dtype=bool))  # x != y, row-major
-    for family in (lambda: (uniform, eye), lambda: (eye, uniform), lambda: (eye[xs], eye[ys])):
-        ps, qs = family()
-        bad = _divergence_pair_violation(wm, vm, ps, qs)
-        if bad is not None:
-            return _fails(witness=bad[1], samples_used=used + bad[0] + 1)
-        used += max(len(ps), len(qs))
+    ps, qs = np.vstack([uniform, eye, eye[xs]]), np.vstack([eye, uniform, eye[ys]])
+    bad = _divergence_pair_violation(wm, vm, ps, qs)
+    if bad is not None:
+        return _fails(witness=bad[1], samples_used=bad[0] + 1)
+    used = q * q + q
 
     rng = np.random.default_rng(seed)
     for _ in range(samples):

@@ -343,6 +343,16 @@ def test_dirichlet_check_standard(capsys, tmp_path, w02):
     assert code == 1
 
 
+def test_dirichlet_check_standard_accepts_a_w_within_the_symmetry_band(capsys, tmp_path):
+    # W_0.3 with entries moved by 5e-10, doubly stochastic and asymmetric by 1e-9
+    w = tmp_path / "w.csv"
+    w.write_text("0.7,0.1500000005,0.1499999995\n0.15,0.6999999995,0.1500000005\n0.15,0.15,0.7\n")
+    v = write_channel(tmp_path / "v.csv", symmetric_channel(3, 0.5))
+    code, out, _ = run(capsys, ["dirichlet-check", "--w", str(w), "--v", v, "--kind", "standard"])
+    assert code == 0
+    assert json.loads(out) == {"kind": "standard", "holds": True}
+
+
 def test_dirichlet_check_rejects_non_doubly_stochastic(capsys, tmp_path, w02):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.9,0.1\n0.8,0.2\n")

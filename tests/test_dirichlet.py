@@ -223,6 +223,63 @@ def test_dirichlet_domination_check_standard_requires_symmetric_w():
         dirichlet_domination_check(skew, v, "standard")
 
 
+# W_0.3 at q = 3 with entries of rows 0 and 1 moved by 5e-10: doubly
+# stochastic, within 1e-9 of the symmetric channel, asymmetric by 1e-9
+W03_PERTURBED = [
+    [0.7, 0.1500000005, 0.1499999995],
+    [0.15, 0.6999999995, 0.1500000005],
+    [0.15, 0.15, 0.7],
+]
+
+
+def test_dirichlet_domination_check_standard_compares_the_inferred_w_delta():
+    # the raw W is asymmetric by 1e-9, which a symmetry check at 1e-10 rejects
+    w, v = Channel(W03_PERTURBED), symmetric_channel(3, 0.5)
+    assert dirichlet_domination_check(w, v, "standard")
+    assert not dirichlet_domination_check(w, symmetric_channel(3, 0.1), "standard")
+
+
+def _estimate_lsi_constant_per_draw(v, samples, seed):
+    """The estimator one draw at a time through the public forms, as it once ran."""
+    q = v.rows
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for index in range(samples):
+        if index % 2 == 0:
+            f = rng.standard_normal(q)
+        else:
+            f = 0.05 * np.abs(rng.standard_normal(q))
+            f[rng.integers(q)] = 1.0
+        norm = math.sqrt(float(np.mean(f**2)))
+        if norm <= 1e-12:
+            continue
+        f = f / norm
+        entropy = lsi_functional(f)
+        if entropy >= 1e-6:
+            best = min(best, dirichlet_form(v, f) / entropy)
+    return best
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 8, 16, 64])
+def test_estimate_lsi_constant_matches_the_per_draw_reference(q):
+    rng = np.random.default_rng(q)
+    channels = [
+        symmetric_channel(q, 0.3 * (q - 1) / q),
+        Channel(circulant(cyclic_group(q), rng.dirichlet(np.ones(q)))),
+        Channel(0.5 * np.eye(q) + 0.5 * np.eye(q)[rng.permutation(q)]),
+    ]
+    for seed, v in enumerate(channels):
+        for samples in (1, 37, 500):
+            expected = _estimate_lsi_constant_per_draw(v, samples, seed)
+            if not math.isfinite(expected):
+                with pytest.raises(RuntimeError):
+                    estimate_lsi_constant(v, samples=samples, seed=seed)
+                continue
+            assert estimate_lsi_constant(v, samples=samples, seed=seed) == pytest.approx(
+                expected, rel=1e-11, abs=1e-15
+            )
+
+
 def test_kl_decay_check_constant_channel():
     report = kl_decay_check(constant_channel(3), 0.5, point_mass(3, 0), horizon=1)
     assert report.steps[0].lhs == pytest.approx(0.0, abs=1e-12)

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from channel_order import channels
 from channel_order.channels import (
     Channel,
     Pmf,
     point_mass,
     symmetric_channel,
     symmetric_eigenvalue,
+    symmetric_matrix,
     symmetric_noise_pmf,
     uniform_pmf,
 )
+from channel_order.dirichlet import estimate_lsi_constant
 from channel_order.divergences import (
     _kl_chi2_rows,
     chi2,
@@ -28,6 +31,7 @@ from channel_order.divergences import (
     shannon_entropy,
     tv_distance,
 )
+from channel_order.groups import circulant, cyclic_group
 
 LOG2 = math.log(2.0)
 
@@ -193,3 +197,73 @@ def test_integral_check_point_mass():
 def test_integral_check_generic_pair():
     report = kl_chi2_integral_check([0.9, 0.1], [0.2, 0.8], 20001)
     assert report.relative_error <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "call, most",
+    [
+        (lambda w: estimate_lsi_constant(w, samples=2000, seed=0), 0),
+        (lambda w: eta_kl_bounds(w, samples=200, seed=0), 0),
+        (lambda w: eta_tv(w), 0),
+        (lambda w: kl_chi2_local_check([0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.01, 0.001]), 2),
+    ],
+    ids=["estimate_lsi_constant", "eta_kl_bounds", "eta_tv", "kl_chi2_local_check"],
+)
+def test_estimators_validate_their_inputs_once(monkeypatch, call, most):
+    # a Channel is validated when built; the estimators score their draws
+    # without building a Pmf or Channel per draw
+    w = symmetric_channel(3, 0.4)
+    calls = []
+    check = channels.pmf_rows
+    monkeypatch.setattr(channels, "pmf_rows", lambda m: calls.append(1) or check(m))
+    call(w)
+    assert len(calls) <= most
+
+
+def _random_channels(rng, count):
+    for _ in range(count):
+        q, r = (int(n) for n in rng.integers(1, 12, size=2))
+        m = rng.dirichlet(np.full(r, float(rng.choice([0.2, 1.0, 5.0]))), size=q)
+        yield Channel(0.99 * m + 0.01 / r)
+
+
+def test_eta_tv_matches_the_row_pair_loop_bitwise():
+    for w in _random_channels(np.random.default_rng(3), 100):
+        m = w.matrix
+        expected = 0.0
+        for i in range(w.rows):
+            d = 0.5 * np.abs(m[i + 1 :] - m[i]).sum(axis=1)
+            if d.size:
+                expected = max(expected, float(d.max()))
+        assert eta_tv(w) == expected
+
+
+def test_eta_kl_bounds_matches_the_per_draw_reference():
+    rng = np.random.default_rng(4)
+    cases = list(_random_channels(rng, 40))
+    cases += [Channel(symmetric_matrix(q, 0.4)) for q in (2, 5, 16)]
+    cases += [Channel(circulant(cyclic_group(8), rng.dirichlet(np.ones(8))))]
+    for seed, w in enumerate(cases):
+        draws = np.random.default_rng(seed)
+        expected = maximal_correlation(uniform_pmf(w.rows), w) ** 2
+        for _ in range(50):
+            p = (1.0 - 1e-6) * draws.dirichlet(np.ones(w.rows)) + 1e-6 / w.rows
+            expected = max(expected, maximal_correlation(Pmf(p), w) ** 2)
+        lower, upper = eta_kl_bounds(w, samples=50, seed=seed)
+        assert lower == pytest.approx(expected, rel=0, abs=1e-14)
+        assert upper == eta_tv(w)
+
+
+def test_local_check_matches_the_per_weight_reference_bitwise():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        q = int(rng.integers(2, 12))
+        p, center = rng.dirichlet(np.full(q, 0.5)), 0.99 * rng.dirichlet(np.ones(q)) + 0.01 / q
+        lambdas = [float(t) for t in 10.0 ** -rng.uniform(0, 6, size=int(rng.integers(1, 5)))] + [1]
+        report = kl_chi2_local_check(p, center, lambdas)
+        pv, qv = Pmf(p).probs, Pmf(center).probs
+        expected = tuple(
+            (float(t), float(2.0 / t**2 * kl(Pmf(qv + t * (pv - qv)), Pmf(qv)))) for t in lambdas
+        )
+        assert report.entries == expected
+        assert report.chi2_value == float(chi2(pv, qv))

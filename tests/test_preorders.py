@@ -19,7 +19,7 @@ from channel_order.channels import (
     uniform_pmf,
 )
 from channel_order.dirichlet import lsi_functional
-from channel_order.divergences import chi2
+from channel_order.divergences import chi2, kl
 from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
     DIVERGENCE_TOL,
@@ -647,6 +647,51 @@ def test_less_noisy_sampled_boundary_order(w, v, used, p, q, divergence):
     assert verdict.status is Status.FAILS and verdict.samples_used == used
     assert verdict.witness.divergence == divergence
     assert np.array_equal(verdict.witness.p, p) and np.array_equal(verdict.witness.q, q)
+
+
+def _first_boundary_violation(wm, vm):
+    """(1-based position, p, q, divergence, lhs, rhs) of the first refuting boundary pair, pair by pair."""
+    q = len(wm)
+    uniform, eye = np.full(q, 1.0 / q), np.eye(q)
+    pairs = [(uniform, eye[x]) for x in range(q)] + [(eye[x], uniform) for x in range(q)]
+    pairs += [(eye[x], eye[y]) for x in range(q) for y in range(q) if x != y]
+    for position, (p, r) in enumerate(pairs, start=1):
+        for name, divergence in (("kl", kl), ("chi2", chi2)):
+            lhs = float(divergence(Pmf(p @ wm), Pmf(r @ wm)))
+            rhs = float(divergence(Pmf(p @ vm), Pmf(r @ vm)))
+            if rhs > lhs + DIVERGENCE_TOL:
+                return position, p, r, name, lhs, rhs
+    return None
+
+
+def test_less_noisy_sampled_boundary_pass_matches_the_pair_by_pair_reference():
+    # one array pass over all q^2 + q boundary pairs reports the same pair,
+    # position and divergence values as trying them one at a time
+    rng = np.random.default_rng(8)
+    refuted = 0
+    for _ in range(150):
+        q, s = (int(n) for n in rng.integers(2, 7, size=2))
+        wm = 0.98 * rng.dirichlet(np.full(s, 0.5), size=q) + 0.02 / s
+        kind = rng.integers(4)
+        if kind == 0:
+            vm = wm @ rng.dirichlet(np.ones(s), size=s)
+        elif kind == 1:
+            vm = 0.98 * rng.dirichlet(np.full(s, 0.5), size=q) + 0.02 / s
+        elif kind == 2:
+            vm = wm[:, rng.permutation(s)]
+        else:
+            vm = erasure_channel(q, float(rng.uniform(0.1, 0.9))).matrix
+        verdict = less_noisy_sampled(Channel(wm), Channel(vm), samples=0)
+        expected = _first_boundary_violation(Channel(wm).matrix, Channel(vm).matrix)
+        if expected is None:
+            assert verdict.status is Status.UNDETERMINED and verdict.samples_used == q * q + q
+            continue
+        refuted += 1
+        witness = verdict.witness
+        assert verdict.status is Status.FAILS and verdict.samples_used == expected[0]
+        assert np.array_equal(witness.p, expected[1]) and np.array_equal(witness.q, expected[2])
+        assert (witness.divergence, witness.lhs, witness.rhs) == expected[3:]
+    assert refuted >= 30
 
 
 def test_less_noisy_sampled_rejects_a_negative_budget():

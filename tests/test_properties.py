@@ -23,6 +23,11 @@ checked against the same per-letter loop, on additive V over cyclic and
 product groups, relabelled or not, with a tied noise entry, with one entry
 moved by one ulp, and against a W outside the family r I + c J.
 
+``dirichlet_domination_check``, which decides every comparison by one
+Cholesky in the PSD band, is checked against ``eigvalsh`` away from the
+band's edge, on symmetric channels near delta = (q-1)/q and near-uniform
+cyclic circulants.
+
 ``delta_star``'s probes, which evaluate precomputed vertex matrices and
 factor them by Cholesky, are checked against the probe loop it once ran:
 build W_delta, gate it by its singular values (``_require_invertible``),
@@ -30,6 +35,7 @@ solve for A and take ``eigvalsh`` at every letter (``_vertex_checks``).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -42,8 +48,10 @@ from channel_order.channels import (
     erasure_channel,
     symmetric_channel,
     symmetric_eigenvalue,
+    symmetric_matrix,
     symmetric_noise_pmf,
 )
+from channel_order.dirichlet import dirichlet_domination_check
 from channel_order.divergences import kl
 from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
@@ -541,3 +549,56 @@ def test_delta_star_probes_match_the_old_probe_loop(case):
     v, tol = case
     result = delta_star(v, tol=tol)
     assert (result.lower, result.upper, result.iterations, result.probes) == _old_delta_star(v, tol)
+
+
+@st.composite
+def doubly_stochastic_pairs(draw):
+    """(W, V) at q <= 6, each a symmetric channel W_delta, often within
+    1e-12..1e-3 (relative) below delta = (q-1)/q, or a cyclic circulant of a
+    noise pmf 1e-9..1 of the way from uniform to a Dirichlet(1) pmf."""
+    q = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = (q - 1) / q
+
+    def channel():
+        if draw(st.booleans()):
+            if draw(st.booleans()):
+                return symmetric_matrix(q, top * (1.0 - 10.0 ** draw(st.floats(-12.0, -3.0))))
+            return symmetric_matrix(q, top * draw(st.floats(0.0, 1.0)))
+        noise = 1.0 / q + 10.0 ** draw(st.floats(-9.0, 0.0)) * (rng.dirichlet(np.ones(q)) - 1.0 / q)
+        return circulant(cyclic_group(q), noise)
+
+    return Channel(channel()), Channel(channel())
+
+
+def _psd_verdict(m):
+    """eigvalsh's verdict on the symmetrized m in the PSD band, or None within
+    1e-3 of the band's width of its edge, where rounding may decide."""
+    m = 0.5 * (m + m.T)
+    lam, floor = np.linalg.eigvalsh(m)[0], float(_psd_floor(m))
+    if abs(lam - floor) <= 1e-3 * abs(floor):
+        return None
+    return bool(lam >= floor)
+
+
+@PROPERTY_SETTINGS
+@given(doubly_stochastic_pairs())
+def test_dirichlet_domination_check_matches_eigvalsh_off_the_band_edge(pair):
+    w, v = pair
+    wm, vm = w.matrix, v.matrix
+    q = len(wm)
+    expected = {"discrete": _psd_verdict(wm @ wm.T - vm @ vm.T)}
+    w_psd = _psd_verdict(wm)
+    if w_psd is not None:
+        expected["continuous"] = _psd_verdict(wm - vm) if w_psd else ValueError
+    delta = 1.0 - np.trace(wm) / q
+    if np.abs(wm - symmetric_matrix(q, delta)).max() <= 1e-9 and delta <= (q - 1) / q + 1e-12:
+        expected["standard"] = _psd_verdict(symmetric_matrix(q, delta) - vm)
+    else:
+        expected["standard"] = ValueError
+    for kind, verdict in expected.items():
+        if verdict is ValueError:
+            with pytest.raises(ValueError):
+                dirichlet_domination_check(w, v, kind)
+        elif verdict is not None:
+            assert dirichlet_domination_check(w, v, kind) is verdict
