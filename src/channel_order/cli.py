@@ -6,8 +6,8 @@ to 9 significant digits, then rendered with Python's shortest-roundtrip repr;
 infinities appear as the string "inf", and a NaN is an error, never printed),
 bulk region data as CSV.  Exit codes:
 0 dominates / holds / valid, 1 fails / violated / invalid, 2 input or
-parameter error, 3 undetermined (sampled evidence only, when W is singular or
-not square).  Runs with identical arguments produce byte-identical output.
+parameter error, 3 undetermined (sampled evidence only, when W's columns are
+dependent).  Runs with identical arguments produce byte-identical output.
 """
 
 from __future__ import annotations

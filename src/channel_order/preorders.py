@@ -2,20 +2,21 @@
 
 Every test returns a DominationVerdict: Dominates with a checkable
 certificate, Fails with a concrete witness, or Undetermined when only sampled
-evidence is available.  Both exact tests from a square invertible W go
-through the single matrix A = W^{-1} V, for any channel V on the same input
-alphabet.  V = W K pins the degrading kernel down to K = A, whose rows sum to
-one because W's do, so V is degraded from W iff A >= 0; group majorization
-with an invertible circulant is decided the same way.  Only a non-square or
-singular W, and a singular group circulant, leave a linear feasibility
-problem, solved by scipy's ``linprog``, which is imported on the first such
-call.  The less-noisy order reduces to q positive-semidefiniteness checks on
-A, one per simplex vertex:
+evidence is available.  Both exact tests from a W of full column rank go
+through the single matrix A = W^+ V (``_kernel``), for any channel V on the
+same input alphabet.  A's rows sum to one, and V lies in W's range iff
+V = W A within one band (``_range_test``), so V is degraded from W iff it
+does and A >= 0; group majorization with an invertible circulant is decided
+the same way.  Only a W with dependent columns, and a singular group
+circulant, leave a linear feasibility problem, solved by scipy's ``linprog``,
+imported on the first such call.  The less-noisy order needs V in W's range
+(a residual column x of V - W A has x W = 0 but x V != 0), and then reduces
+to q positive-semidefiniteness checks on A, one per simplex vertex:
 
     W is less noisy than V
         iff  W D_{pW}^{-1} W^T  >=  V D_{pV}^{-1} V^T   (PSD order)
              for every strictly positive input pmf p
-        iff  D_{pW}^{-1}  >=  A D_{pV}^{-1} A^T        (congruence by W^{-1})
+        iff  D_{pW}^{-1}  >=  A D_{pV}^{-1} A^T        (V = W A, and W^T is onto)
         iff  D_{pV} - A^T D_{pW} A  >=  0               (two Schur complements)
         iff  diag(V[x]) - A^T diag(W[x]) A  >=  0      for every input letter x,
 
@@ -24,7 +25,7 @@ linear in p, so checking the simplex vertices suffices.  The rows of A sum
 to one, so the all-ones vector lies in the kernel of every vertex matrix and
 the checks are made on its orthogonal complement.  V is never inverted: it
 may be singular or non-square.  The exact less-noisy test raises
-SingularChannelError for a singular or non-square W; the sampled test covers
+SingularChannelError for a W with dependent columns; the sampled test covers
 that case and can refute but never certify.
 
 A symmetry of the pair cuts the q checks down.  Write M_x for the vertex
@@ -58,15 +59,14 @@ from .groups import FiniteAbelianGroup, circulant
 LP_TOL = 1e-9
 PSD_TOL = 1e-9
 ENTRY_TOL = 1e-12  # majorization partial sums, constant-row and identity tests
-DIVERGENCE_TOL = 1e-11  # slack of the KL and chi-squared pair inequalities
+DIVERGENCE_TOL = 1e-11  # slack of the KL and chi-squared pair inequalities, relative to max(1, lhs)
 INTERIOR_MIX = 1e-6
 
 
 class SingularChannelError(ValueError):
-    """Raised by the exact less-noisy test when W is singular or not square.
+    """Raised by the exact less-noisy test when W's columns are dependent.
 
-    V may be any channel on W's input alphabet; only W is inverted.  Use the
-    sampled test for such a W.
+    That is a singular W, or one with more outputs than inputs: use the sampled test.
     """
 
 
@@ -143,7 +143,7 @@ def _undetermined(samples_used: int) -> DominationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# linear feasibility engine
+# linear feasibility: the kernel A = W^+ V, else an LP
 # ---------------------------------------------------------------------------
 
 
@@ -167,7 +167,7 @@ def phase_one(a_eq: np.ndarray, b_eq: np.ndarray) -> tuple[bool, Optional[np.nda
     and the phase-one point is the solution returned.  Solved with scipy's
     HiGHS backend, which is deterministic on these small dense instances.
     Only the cases without a unique candidate solution come here: degradation
-    from a non-square or singular W, majorization by a group whose circulant
+    from a W with dependent columns, majorization by a group whose circulant
     is singular, and hull membership.
     """
     m, n = a_eq.shape
@@ -189,6 +189,23 @@ def convex_hull_membership(
     a_eq = np.vstack([points.T, np.ones(len(points))])
     feasible, weights, _ = phase_one(a_eq, np.append(target, 1.0))
     return feasible, weights
+
+
+def _kernel(wm: np.ndarray, vm: np.ndarray) -> Optional[np.ndarray]:
+    """A = W^+ V by a solve (square W) or least squares (tall W); None if W's columns are dependent."""
+    q, s = wm.shape
+    if s > q or is_singular_channel_matrix(wm):
+        return None
+    if s == q:
+        return np.linalg.solve(wm, vm)
+    return np.linalg.lstsq(wm, vm, rcond=None)[0]
+
+
+def _range_test(wm: np.ndarray, vm: np.ndarray, a: np.ndarray) -> tuple[int, float, float]:
+    """(column, residual, band): max|V - W A| and its column; V is in W's range iff residual <= band."""
+    residual = np.abs(vm - wm @ a)
+    col = int(residual.max(axis=0).argmax())
+    return col, float(residual[:, col].max()), LP_TOL * max(1.0, float(np.abs(a).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +240,8 @@ def group_majorizes(group: FiniteAbelianGroup, x, y) -> DominationVerdict:
 
     Decided as feasibility of y = x . circulant(lam) over pmfs lam; a
     Dominates verdict carries the convex weights lam.  When circulant(x) is
-    invertible lam is unique and one solve finds it: x majorizes y iff lam's
-    entries are >= -tol and its sum is 1 within tol, with
+    invertible lam is unique and ``_kernel`` finds it: x majorizes y iff
+    lam's entries are >= -tol and its sum is 1 within tol, with
     tol = LP_TOL * max(1, |lam|_max).  A singular circulant goes to the LP.
     Non-finite entries are rejected (ValueError).
     """
@@ -238,10 +255,10 @@ def group_majorizes(group: FiniteAbelianGroup, x, y) -> DominationVerdict:
     # x . circ(lam) = lam . circ(x), so this is membership of y in the hull of
     # the orbit rows of circ(x), with lam the convex weights
     orbit = circulant(group, xv)
-    if is_singular_channel_matrix(orbit):
+    lam = _kernel(orbit.T, yv)
+    if lam is None:
         feasible, lam = convex_hull_membership(orbit, yv)
     else:
-        lam = np.linalg.solve(orbit.T, yv)
         tol = LP_TOL * max(1.0, float(np.abs(lam).max()))
         feasible = lam.min() >= -tol and abs(lam.sum() - 1.0) <= tol
     if not feasible:
@@ -257,23 +274,26 @@ def group_majorizes(group: FiniteAbelianGroup, x, y) -> DominationVerdict:
 def is_degraded(w, v) -> DominationVerdict:
     """Is V a degraded version of W, i.e. V = W A for some channel A?
 
-    For a square invertible W, A = W^{-1} V is the only candidate and its
-    rows sum to one, so V is degraded iff A >= -LP_TOL * max(1, |A|_max).  A
-    Fails verdict then names A's most negative entry (kind
-    "negative_kernel_entry"), which one solve re-checks.  A non-square or
-    singular W leaves an LP in the entries of A (row sums one, nonnegative),
-    whose Fails verdict carries the phase-one optimum.  A Dominates verdict
-    carries the degrading kernel A and the residual max|W A - V|.
+    For a W of full column rank, A = W^+ V is the only candidate: V is degraded
+    iff V is in W's range and A >= 0, both within ``_range_test``'s band.
+    Fails names V's column farthest off the range and its residual (kind
+    "outside_range"), or else A's most negative entry (kind
+    "negative_kernel_entry"); one solve re-checks either.  A W with dependent
+    columns leaves an LP in A's entries (row sums one, nonnegative); Fails then
+    carries the phase-one optimum.  Dominates carries the kernel A and max|W A - V|.
     """
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
         raise ValueError(f"input alphabets differ: {wc.rows} vs {vc.rows}")
     wm, vm = wc.matrix, vc.matrix
-    if wc.rows == wc.cols and not is_singular_channel_matrix(wm):
-        kernel = np.linalg.solve(wm, vm)
+    kernel = _kernel(wm, vm)
+    if kernel is not None:
+        col, residual, band = _range_test(wm, vm, kernel)
+        if residual > band:
+            return _fails(witness={"kind": "outside_range", "col": col, "residual": residual})
         row, col = np.unravel_index(np.argmin(kernel), kernel.shape)
         value = float(kernel[row, col])
-        if value < -LP_TOL * max(1.0, float(np.abs(kernel).max())):
+        if value < -band:
             return _fails(
                 witness={"kind": "negative_kernel_entry", "row": int(row), "col": int(col), "value": value}
             )
@@ -286,7 +306,7 @@ def is_degraded(w, v) -> DominationVerdict:
         if not feasible:
             return _fails(witness={"kind": "infeasible", "phase_one_optimum": optimum})
         kernel = x.reshape(r, s)
-    residual = float(np.abs(wm @ kernel - vm).max())
+        residual = float(np.abs(wm @ kernel - vm).max())
     return _dominates(certificate={"kind": "kernel", "matrix": kernel, "residual": residual})
 
 
@@ -371,7 +391,7 @@ def _shortcut(wm: np.ndarray, vm: np.ndarray) -> Optional[DominationVerdict]:
 
 
 def is_singular_channel_matrix(m: np.ndarray) -> bool:
-    """Singularity gate for square channels, by smallest singular value.
+    """Are the columns of M (no more than its rows) dependent?  By smallest singular value.
 
     Relative to row-norm scale; a determinant test would underflow at desk
     scale (63 eigenvalues of size 0.02 multiply to 1e-113) and misclassify
@@ -424,9 +444,9 @@ def _interior_witness(
     With M(p) = D_{pV} - A^T D_{pW} A linear in p and u the eigenvector of
     lam < 0, the smallest eigenvalue of m = M(e_x) (by ``eigh``, after the
     vertex test's ``eigvalsh``), mixing e_x with uniform no further than
-    u^T M(p) u = lam / 2 keeps the form negative at an interior p.  Then
-    d = W^{-T} D_{pW} A u satisfies d^T L d < 0 for L = W D_{pW}^{-1} W^T -
-    V D_{pV}^{-1} V^T (Cauchy-Schwarz), so L's smallest eigenpair refutes at p.
+    u^T M(p) u = lam / 2 keeps the form negative at an interior p.  Some d
+    has W^T d = D_{pW} A u (W^T is onto) and d^T L d < 0 for L = W D_{pW}^{-1}
+    W^T - V D_{pV}^{-1} V^T (Cauchy-Schwarz), so L's smallest eigenpair refutes.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(m)
     u, lam = _ones_complement(vm.shape[1]) @ eigenvectors[:, 0], float(eigenvalues[0])
@@ -447,13 +467,6 @@ def _vertex_matrix(basis: np.ndarray, ab: np.ndarray, w_x: np.ndarray, v_x: np.n
     ``v_x`` may carry one leading axis, one entry per channel V.
     """
     return (basis.T * v_x[..., None, :]) @ basis - (np.swapaxes(ab, -2, -1) * w_x) @ ab
-
-
-def _require_invertible(wm: np.ndarray) -> None:
-    if wm.shape[1] != wm.shape[0]:
-        raise SingularChannelError("W is not square; use less_noisy_sampled instead")
-    if is_singular_channel_matrix(wm):
-        raise SingularChannelError("W is singular within tolerance; use less_noisy_sampled instead")
 
 
 def _commutes_with_permutations(wm: np.ndarray) -> bool:
@@ -501,18 +514,16 @@ def _orbit_letters(vm: np.ndarray) -> range:
     return range(1)
 
 
-def _vertex_checks(wm: np.ndarray, vms: np.ndarray, letters):
-    """The vertex checks at ``letters`` of W against every V of an (n, q, s) stack.
+def _vertex_checks(wm: np.ndarray, vms: np.ndarray, a: np.ndarray, letters):
+    """The vertex checks at ``letters`` of W against an (n, q, s) stack of V with kernels ``a``.
 
-    Solves A = W^{-1} V for the stack once, then per input letter x runs one
-    stacked ``eigvalsh`` of the symmetrized M = diag(V[x]) - A^T diag(W[x]) A;
-    a check fails below ``_psd_floor``.  Stops once every V has
-    failed.  Returns (A, vertex minima, first failing letter, the last M):
-    minima has one column per entry of ``letters``, NaN where unchecked, and
-    the letter is -1 where all pass; a single failing V's last M is its
-    failing vertex.  The caller gates W (square, invertible): no SVD runs here.
+    Per input letter x runs one stacked ``eigvalsh`` of the symmetrized
+    M = diag(V[x]) - A^T diag(W[x]) A; a check fails below ``_psd_floor``.
+    Stops once every V has failed.  Returns (vertex minima, first failing
+    letter, the last M): minima has one column per entry of ``letters``, NaN
+    where unchecked, and the letter is -1 where all pass; a single failing
+    V's last M is its failing vertex.
     """
-    a = np.linalg.solve(wm, vms)
     basis = _ones_complement(vms.shape[2])
     ab = a @ basis
     minima = np.full((len(vms), len(letters)), np.nan)
@@ -525,7 +536,7 @@ def _vertex_checks(wm: np.ndarray, vms: np.ndarray, letters):
         failed[bad & (failed < 0)] = x
         if (failed >= 0).all():
             break
-    return a, minima, failed, m
+    return minima, failed, m
 
 
 class _DeltaPencil:
@@ -578,36 +589,45 @@ class _DeltaPencil:
 
 
 def less_noisy_exact(w, v) -> DominationVerdict:
-    """Exact less-noisy test for a square invertible W and any V on its input alphabet.
+    """Exact less-noisy test for a W of full column rank and any V on its input alphabet.
 
-    With A = W^{-1} V, checks at each input letter x that
-    diag(V[x]) - A^T diag(W[x]) A is PSD on the complement of the all-ones
-    vector; W is less noisy than V iff all q checks pass.  These are
-    ``_vertex_checks`` on a stack of one, behind the singular-value gate
-    (``eigvalsh``, tolerance relative to the matrices, of order |A|^2).  No
-    input is decided by a shortcut: the checks pass for the identity W and a
-    constant-row V, and a constant-row W is singular (SingularChannelError).
-    When W = r I + c J and V is fixed by permutations carrying letter 0 to
-    every letter (an additive V with distinct noise entries, for one), the
-    check at letter 0 alone decides (``_orbit_letters``).  Dominates verdicts
-    list the q smallest eigenvalues as margins (kind "vertex_psd"; inf for
-    the empty check of a V with one output column), or, when letter 0
-    decided alone, name that letter and its margin (kind "vertex_psd_orbit").
-    Fails verdicts carry an input pair with infinite divergence under V only,
-    when one exists (``_divergence_pair_violation``), and otherwise a
-    LoewnerWitness, the smallest eigenpair of the PSD comparison at an
-    interior input pmf, from the first failing vertex.
+    Decides by the range test and the vertex checks on A = W^+ V of the
+    module docstring.  Off the range (``_range_test``), a residual column x
+    has x W = 0 and x V != 0: the input pair (u + t x, u), u uniform,
+    refutes, or else the smallest eigenpair of the PSD comparison at u; if
+    both lie in their bands the checks decide.  These are ``_vertex_checks``
+    on a stack of one (``eigvalsh``, tolerance relative to the matrices, of
+    order |A|^2), and they pass for the identity W and a constant-row V.  A W
+    with dependent columns raises SingularChannelError.  When W = r I + c J
+    and V is fixed by permutations carrying letter 0 to every letter (an
+    additive V with distinct noise entries, for one), the check at letter 0
+    alone decides (``_orbit_letters``).  Dominates verdicts list the q
+    smallest eigenvalues as margins (kind "vertex_psd"; inf for the empty
+    check of a V with one output column), or, when letter 0 decided alone,
+    name that letter and its margin (kind "vertex_psd_orbit").  A failed
+    check carries an input pair with infinite divergence under V only, when
+    one exists, and otherwise a LoewnerWitness, the smallest eigenpair of the
+    PSD comparison at an interior input pmf, from the first failing vertex.
     """
     wc, vc = as_channel(w), as_channel(v)
     if wc.rows != vc.rows:
         raise ValueError(f"input alphabets differ: {wc.rows} vs {vc.rows}")
     wm, vm = wc.matrix, vc.matrix
-    _require_invertible(wm)
+    a = _kernel(wm, vm)
+    if a is None:
+        raise SingularChannelError("W has dependent columns; use less_noisy_sampled instead")
+    col, residual, band = _range_test(wm, vm, a)
+    if residual > band:
+        x, u = vm[:, col] - wm @ a[:, col], np.full(wc.rows, 1.0 / wc.rows)
+        t = 0.5 * float(np.min(-u[x < 0] / x[x < 0]))  # half the step to the boundary
+        bad = _divergence_pair_violation(wm, vm, (u + t * x)[None], u[None])
+        witness = bad[1] if bad else _loewner_witness(wm, vm, u)
+        if bad or witness.eigenvalue < _psd_floor(_loewner_difference(wm, vm, u)):
+            return _fails(witness=witness)
     letters = _orbit_letters(vm) if _commutes_with_permutations(wm) else range(wc.rows)
-    a, minima, failed, m = _vertex_checks(wm, vm[None], letters)
+    minima, failed, m = _vertex_checks(wm, vm[None], a[None], letters)
     if failed[0] >= 0:
-        x = failed[0]
-        return _fails(witness=_support_witness(wm, vm) or _interior_witness(wm, vm, a[0], x, m[0]))
+        return _fails(witness=_support_witness(wm, vm) or _interior_witness(wm, vm, a, failed[0], m[0]))
     if len(letters) < wc.rows:
         return _dominates(
             certificate={
@@ -648,9 +668,9 @@ def _divergence_pair_violation(
     lhs, rhs = (
         np.stack(_kl_chi2_rows((ps[:, None] @ m)[:, 0], (qs[:, None] @ m)[:, 0]), axis=1) for m in (wm, vm)
     )
-    # infinity >= infinity is fine; a finite lhs below an infinite or larger
-    # rhs refutes domination.  Raveled row-major, KL comes before chi-squared.
-    bad = (rhs > lhs + DIVERGENCE_TOL).ravel()
+    # inf >= inf holds; rhs above a finite lhs by more than the slack relative
+    # to max(1, lhs) refutes.  Raveled row-major, KL comes before chi-squared.
+    bad = (rhs > lhs + DIVERGENCE_TOL * np.maximum(1.0, lhs)).ravel()
     if not bad.any():
         return None
     i, j = divmod(int(bad.argmax()), 2)
@@ -661,6 +681,7 @@ def _divergence_pair_violation(
 def less_noisy_sampled(w, v, samples: int = 1000, seed: int = 0) -> DominationVerdict:
     """Sampled refutation search for the less-noisy order (never certifies).
 
+    It serves a W with dependent columns, on which ``less_noisy_exact`` raises.
     First checks the KL, then the chi-squared output divergence inequality
     on q^2 + q boundary input pairs in one array pass, stacked in this order:
     (uniform, e_x), then (e_x, uniform), then (e_x, e_y) for x != y,

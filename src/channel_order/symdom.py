@@ -203,7 +203,8 @@ def classify_noise_pmfs(q: int, delta: float, noise) -> list[str]:
         if _symmetric_is_singular(symmetric_eigenvalue(q, delta)):
             dominated = _rows_all_equal(circulants)
         else:
-            dominated = _vertex_checks(symmetric_matrix(q, delta), circulants, range(1))[2] < 0
+            w = symmetric_matrix(q, delta)
+            dominated = _vertex_checks(w, circulants, np.linalg.solve(w, circulants), range(1))[1] < 0
         label[rest] = np.where(
             dominated, LABELS.index("LESS_NOISY"), LABELS.index("CIRCLE_ONLY")
         )

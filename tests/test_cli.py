@@ -144,6 +144,50 @@ def test_check_less_noisy_sampled_undetermined(capsys, tmp_path):
     assert json.loads(out)["status"] == "undetermined"
 
 
+# rows (1 - 1e-5) Dirichlet(0.2) + 1e-5 / s, renormalized: a 4x3 W of full
+# column rank (default_rng(0)) and a 3x4 W with dependent columns (default_rng(35))
+TALL_W = """0.2271286756843465,3.5834920424596998e-06,0.77286774082361109
+0.24418400605067059,0.14111673498033425,0.61469925896899513
+0.99532520268197644,0.0046714288237162498,3.3684943071867663e-06
+0.36141281039419909,0.23514936788259347,0.40343782172320741
+"""
+WIDE_W = """0.0022825579772083014,0.58465404106965124,2.5000000002921211e-06,0.41306090095314019
+0.91991003147815753,0.00014002266583394295,2.6903809321067121e-06,0.079947255475076376
+0.002002345342688712,0.019142032341504588,0.760495623242192,0.21835999907361467
+"""
+
+
+def _against_column_permutation(tmp_path, text):
+    w = tmp_path / "w.csv"
+    w.write_text(text)
+    m = np.loadtxt(w, delimiter=",")
+    return str(w), write_channel(tmp_path / "v.csv", Channel(m[:, ::-1]))
+
+
+def test_check_less_noisy_certifies_a_tall_w_against_its_column_permutation(capsys, tmp_path):
+    # a channel and its column permutation are equivalent.  The sampled search
+    # once refuted this pair at a boundary pair whose two chi-squared sides
+    # both printed as 177325.92; the exact test now decides a tall W
+    w, v = _against_column_permutation(tmp_path, TALL_W)
+    code, out, _ = run(capsys, ["check-less-noisy", "--w", w, "--v", v])
+    assert code == 0
+    assert json.loads(out)["certificate"]["kind"] == "vertex_psd"
+    code, out, _ = run(capsys, ["check-degraded", "--w", w, "--v", v])
+    assert code == 0
+
+
+@pytest.mark.parametrize("samples, used", [(None, 3**2 + 3 + 1000), ("50", 3**2 + 3 + 50)])
+def test_check_less_noisy_leaves_an_equivalent_wide_w_undetermined(capsys, tmp_path, samples, used):
+    # W with dependent columns goes to the sampled search.  With an absolute
+    # divergence slack it once exited 1 at boundary pair 11, both sides printed
+    # as 231340.555; the slack relative to the divergences lets it run out
+    w, v = _against_column_permutation(tmp_path, WIDE_W)
+    argv = ["check-less-noisy", "--w", w, "--v", v] + (["--samples", samples] if samples else [])
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    assert json.loads(out) == {"samples_used": used, "status": "undetermined"}
+
+
 def test_check_less_noisy_orbit_certificate_is_strict_json(capsys, tmp_path):
     # an additive V with distinct noise entries: letter 0 decides alone, and
     # the certificate names it and its margin, with no NaN anywhere

@@ -83,12 +83,16 @@ def test_decision_paths_do_not_load_scipy(tmp_path):
 
 
 def test_lp_fallbacks_still_load_scipy(tmp_path):
-    # a non-square W and a singular W have no unique candidate kernel
-    nonsquare = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+    # a singular W has no unique candidate kernel; a tall W of full column
+    # rank has one, A = W^+ V by least squares, and both orders skip the LP
+    tall = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
     singular = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
     w = write(tmp_path / "w.csv", channel_to_csv(symmetric_channel(3, 0.2)))
     v = write(tmp_path / "v.csv", channel_to_csv(symmetric_channel(3, 0.5)))
-    for name, matrix in (("nonsquare", nonsquare), ("singular", singular)):
-        wf = write(tmp_path / f"{name}.csv", channel_to_csv(Channel(matrix)))
-        calls = [["check-degraded", "--w", w, "--v", v], ["check-degraded", "--w", wf, "--v", v]]
-        run_calls(calls, last_loads=True)
+    wt = write(tmp_path / "tall.csv", channel_to_csv(Channel(tall)))
+    degraded = write(tmp_path / "degraded.csv", channel_to_csv(Channel(tall @ symmetric_channel(2, 0.3).matrix)))
+    ws = write(tmp_path / "singular.csv", channel_to_csv(Channel(singular)))
+    calls = [["check-degraded", "--w", w, "--v", v]]
+    calls += [[command, "--w", wt, "--v", other] for command in ("check-degraded", "check-less-noisy")
+              for other in (v, degraded)]
+    run_calls(calls + [["check-degraded", "--w", ws, "--v", v]], last_loads=True)

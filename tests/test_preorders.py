@@ -20,9 +20,11 @@ from channel_order.channels import (
 )
 from channel_order.dirichlet import lsi_functional
 from channel_order.divergences import chi2, kl
+from channel_order import preorders
 from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
     DIVERGENCE_TOL,
+    LP_TOL,
     PSD_TOL,
     DivergencePairWitness,
     DominationVerdict,
@@ -35,7 +37,7 @@ from channel_order.preorders import (
     _orbit_letters,
     _passes_by_cholesky,
     _psd_floor,
-    _require_invertible,
+    _kernel,
     _vertex_checks,
     _vertex_matrix,
     chi2_violation_pair,
@@ -304,23 +306,86 @@ def test_is_degraded_fails_names_a_negative_kernel_entry():
     assert witness["value"] == pytest.approx(-1 / 14)
 
 
-def test_is_degraded_lp_decides_non_square_and_singular_w():
+def test_is_degraded_lp_decides_a_singular_w():
     rng = np.random.default_rng(8)
-    nonsquare = Channel(np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
     # third row is the mean of the first two
-    singular = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]))
-    for w in (nonsquare, singular):
-        k = random_channel(rng, w.cols, 4)
-        verdict = is_degraded(w, Channel(w.matrix @ k.matrix))
-        assert verdict.dominates
-        kernel = verdict.certificate["matrix"]
-        assert np.abs(w.matrix @ kernel - w.matrix @ k.matrix).max() <= 1e-8
-        assert kernel.min() >= 0.0
-        # the phase-one point is the kernel: its slack bounds the row sums' error
-        assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-9
-        failed = is_degraded(w, symmetric_channel(3, 0.1))
-        assert failed.witness["kind"] == "infeasible"
-        assert failed.witness["phase_one_optimum"] > 1e-9
+    w = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]))
+    k = random_channel(rng, w.cols, 4)
+    verdict = is_degraded(w, Channel(w.matrix @ k.matrix))
+    assert verdict.dominates
+    kernel = verdict.certificate["matrix"]
+    assert np.abs(w.matrix @ kernel - w.matrix @ k.matrix).max() <= 1e-8
+    assert kernel.min() >= 0.0
+    # the phase-one point is the kernel: its slack bounds the row sums' error
+    assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-9
+    failed = is_degraded(w, symmetric_channel(3, 0.1))
+    assert failed.witness["kind"] == "infeasible"
+    assert failed.witness["phase_one_optimum"] > 1e-9
+
+
+def test_is_degraded_decides_a_tall_w_by_least_squares():
+    # a tall W of full column rank pins the kernel to A = W^+ V: no LP runs,
+    # and a V off W's range fails by its residual column, which one
+    # least-squares solve re-checks
+    rng = np.random.default_rng(8)
+    w = Channel(np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
+    k = random_channel(rng, w.cols, 4)
+    verdict = is_degraded(w, Channel(w.matrix @ k.matrix))
+    assert verdict.dominates
+    kernel = verdict.certificate["matrix"]
+    assert np.abs(kernel - k.matrix).max() <= 1e-12
+    assert verdict.certificate["residual"] <= 1e-15
+    v = symmetric_channel(3, 0.1)
+    witness = is_degraded(w, v).witness
+    assert set(witness) == {"kind", "col", "residual"} and witness["kind"] == "outside_range"
+    residual = np.abs(v.matrix - w.matrix @ np.linalg.lstsq(w.matrix, v.matrix, rcond=None)[0])
+    assert witness["residual"] == residual.max() == residual[:, witness["col"]].max() > 1e-9
+    # inside the range, a kernel with a negative entry still fails
+    witness = is_degraded(w, Channel(w.matrix @ np.array([[1.2, -0.2], [-0.1, 1.1]]))).witness
+    assert witness["kind"] == "negative_kernel_entry" and witness["value"] == pytest.approx(-0.2)
+
+
+def test_a_tall_w_off_its_range_is_never_degraded():
+    # V = (1 - 1e-7) W K + 1e-7 N leaves a tall W's range by ~1e-8..1e-7, far
+    # outside the band.  The degradation LP once certified most such pairs,
+    # with a residual max|W A - V| inside HiGHS's own feasibility tolerance
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        q = int(rng.integers(3, 9))
+        s = int(rng.integers(2, q))
+        w = rng.dirichlet(np.ones(s), size=q)
+        v = (1 - 1e-7) * (w @ rng.dirichlet(np.ones(s), size=s)) + 1e-7 * rng.dirichlet(np.ones(s), size=q)
+        verdict = is_degraded(Channel(w), Channel(v))
+        if verdict.dominates:
+            kernel = verdict.certificate["matrix"]
+            assert verdict.certificate["residual"] <= LP_TOL * max(1.0, np.abs(kernel).max())
+        else:
+            assert verdict.witness["kind"] == "outside_range"
+            assert verdict.witness["residual"] > LP_TOL
+
+
+def test_a_tall_w_needs_neither_the_lp_nor_the_sampled_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a W of full column rank has an exact path")
+
+    monkeypatch.setattr(preorders, "phase_one", refuse)
+    monkeypatch.setattr(preorders, "less_noisy_sampled", refuse)
+    rng = np.random.default_rng(5)
+    seen = set()
+    for q, s in ((2, 1), (3, 2), (5, 3), (8, 7)):
+        w = Channel(rng.dirichlet(np.ones(s), size=q))
+        for v in (w.matrix @ random_channel(rng, s, 3).matrix, random_channel(rng, q, 4).matrix):
+            for verdict in (is_degraded(w, Channel(v)), less_noisy_exact(w, Channel(v))):
+                assert verdict.status is not Status.UNDETERMINED
+                seen.add(verdict.status)
+    assert seen == {Status.DOMINATES, Status.FAILS}
+    # the patch is in force: a singular W and a wide W still reach the LP,
+    # and the exact less-noisy test refuses both
+    for w in (constant_channel(3), erasure_channel(3, 0.3)):
+        with pytest.raises(AssertionError, match="exact path"):
+            is_degraded(w, symmetric_channel(3, 0.2))
+        with pytest.raises(SingularChannelError):
+            less_noisy_exact(w, symmetric_channel(3, 0.2))
 
 
 def test_group_majorizes_singular_circulant_uses_the_lp():
@@ -490,8 +555,8 @@ def test_vertex_checks_match_exact_without_shortcuts():
     stack += [np.array([[0.6, 0.3, 0.1]] * 3)]
     for w in [np.eye(3), *stack[:4], symmetric_channel(3, 0.2).matrix]:
         expected = [less_noisy_exact(w, v).dominates for v in stack]
-        _require_invertible(w)
-        assert (_vertex_checks(w, np.array(stack), range(3))[2] < 0).tolist() == expected
+        a = _kernel(w, np.array(stack))
+        assert (_vertex_checks(w, np.array(stack), a, range(3))[1] < 0).tolist() == expected
 
 
 def test_stacked_vertex_checks_keep_each_first_failing_letter():
@@ -501,10 +566,10 @@ def test_stacked_vertex_checks_keep_each_first_failing_letter():
     w = symmetric_channel(3, 0.2).matrix
     stack = np.array([random_channel(rng, 3).matrix for _ in range(8)])
     stack = np.vstack([stack, symmetric_channel(3, 0.3).matrix[None]])
-    _, minima, failed, _ = _vertex_checks(w, stack, range(3))
+    minima, failed, _ = _vertex_checks(w, stack, _kernel(w, stack), range(3))
     assert (failed == 0).any() and failed[-1] == -1
     for v, row, letter in zip(stack, minima, failed):
-        _, alone, alone_failed, _ = _vertex_checks(w, v[None], range(3))
+        alone, alone_failed, _ = _vertex_checks(w, v[None], _kernel(w, v[None]), range(3))
         assert letter == alone_failed[0]
         checked = ~np.isnan(alone[0])
         assert np.abs(row[checked] - alone[0, checked]).max() <= 1e-12
@@ -519,7 +584,7 @@ def test_orbit_reduction_needs_a_symmetry_of_v_not_just_rearranged_rows():
     v = Channel(np.array([0.3, 0.25, 0.2, 0.15, 0.1])[square])
     w = symmetric_channel(5, 0.557)
     assert _orbit_letters(v.matrix) == range(5)
-    _, minima, failed, _ = _vertex_checks(w.matrix, v.matrix[None], range(5))
+    minima, failed, _ = _vertex_checks(w.matrix, v.matrix[None], _kernel(w.matrix, v.matrix[None]), range(5))
     assert minima[0, 0] > 0 and failed[0] == 4
     assert less_noisy_exact(w, v).status is Status.FAILS
 
@@ -534,7 +599,7 @@ def test_orbit_reduction_takes_a_v_that_is_r_i_plus_c_j():
     w, v = symmetric_channel(3, 0.2), symmetric_channel(3, 0.5)
     certificate = less_noisy_exact(w, v).certificate
     assert certificate["kind"] == "vertex_psd_orbit"
-    _, minima, _, _ = _vertex_checks(w.matrix, v.matrix[None], range(3))
+    minima, _, _ = _vertex_checks(w.matrix, v.matrix[None], _kernel(w.matrix, v.matrix[None]), range(3))
     assert abs(certificate["min_eigenvalue"] - minima[0].min()) <= 1e-12
 
 
@@ -545,8 +610,9 @@ def test_orbit_reduction_takes_a_v_that_is_r_i_plus_c_j():
 def test_delta_pencil_matches_the_vertex_matrix(q):
     # M_x(r) from the precomputed coefficients against diag(V[x]) - A^T diag(W[x]) A.
     # A comes from a solve for r near 1 and mid-range; near the singularity gate
-    # (r = 1e-10) the solve loses ~eps / r^2 (3e-9 relative at r = 1e-9, q = 64),
-    # so there A uses the exact inverse W^{-1} = t I - (t - 1) J / q, t = 1 / r
+    # (r = 1e-10) every float A, the solve's included, is off by ~eps / r (about
+    # 1e-8 relative at r = 1e-9), more than this comparison allows, so there A
+    # uses the inverse W^{-1} = t I - (t - 1) J / q, t = 1 / r, that the pencil expands
     rng = np.random.default_rng(q)
     v = rng.dirichlet(np.ones(q), size=q)
     if q > 2:
@@ -570,7 +636,8 @@ def test_delta_pencil_matches_the_vertex_matrix(q):
 def test_delta_pencil_tries_the_last_failing_letter_first():
     # at W_0.1 only letter 4 fails this V; once it has failed it is checked first
     v = np.random.default_rng(3).dirichlet(np.ones(5), size=5)
-    _, minima, failed, _ = _vertex_checks(symmetric_matrix(5, 0.1), v[None], range(5))
+    w = symmetric_matrix(5, 0.1)
+    minima, failed, _ = _vertex_checks(w, v[None], _kernel(w, v[None]), range(5))
     assert failed[0] == 4 and (minima[0, :4] > 0).all()
     pencil = _DeltaPencil(v, range(5))
     r = symmetric_eigenvalue(5, 0.1)
@@ -659,7 +726,7 @@ def _first_boundary_violation(wm, vm):
         for name, divergence in (("kl", kl), ("chi2", chi2)):
             lhs = float(divergence(Pmf(p @ wm), Pmf(r @ wm)))
             rhs = float(divergence(Pmf(p @ vm), Pmf(r @ vm)))
-            if rhs > lhs + DIVERGENCE_TOL:
+            if rhs > lhs + DIVERGENCE_TOL * max(1.0, lhs):
                 return position, p, r, name, lhs, rhs
     return None
 

@@ -30,13 +30,13 @@ cyclic circulants.
 
 ``delta_star``'s probes, which evaluate precomputed vertex matrices and
 factor them by Cholesky, are checked against the probe loop it once ran:
-build W_delta, gate it by its singular values (``_require_invertible``),
-solve for A and take ``eigvalsh`` at every letter (``_vertex_checks``).
+build W_delta, gate it by its singular values and solve for A (``_kernel``),
+then take ``eigvalsh`` at every letter (``_vertex_checks``).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -52,12 +52,12 @@ from channel_order.channels import (
     symmetric_noise_pmf,
 )
 from channel_order.dirichlet import dirichlet_domination_check
-from channel_order.divergences import kl
+from channel_order.divergences import chi2, kl
 from channel_order.groups import circulant, cyclic_group, direct_product
 from channel_order.preorders import (
+    LP_TOL,
     DivergencePairWitness,
     LoewnerWitness,
-    SingularChannelError,
     Status,
     chi2_violation_pair,
     convex_hull_membership,
@@ -68,7 +68,7 @@ from channel_order.preorders import (
     _loewner_difference,
     _orbit_letters,
     _psd_floor,
-    _require_invertible,
+    _kernel,
     _vertex_checks,
     less_noisy_exact,
     less_noisy_sampled,
@@ -158,7 +158,7 @@ def test_clear_loewner_witnesses_yield_a_chi2_pair(pair):
     # a vertex margin below -1e-6 leaves room for rounding: every Loewner
     # witness of either test then gives a chi-squared pair with a negative gap
     w, v = pair
-    margin = np.nanmin(_vertex_checks(w.matrix, v.matrix[None], range(w.rows))[1])
+    margin = np.nanmin(_vertex_checks(w.matrix, v.matrix[None], _kernel(w.matrix, v.matrix[None]), range(w.rows))[0])
     if margin >= -1e-6:
         return
     for verdict in (less_noisy_exact(w, v), less_noisy_sampled(w, v, samples=20)):
@@ -169,10 +169,54 @@ def test_clear_loewner_witnesses_yield_a_chi2_pair(pair):
 
 
 @st.composite
+def tall_pairs(draw):
+    """A tall W of full column rank and V = (1 - eps) W K + eps N: degraded at
+    eps = 0, off W's range by ~eps otherwise, and a random channel at eps = 1."""
+    q = draw(st.integers(3, 8))
+    cols = draw(st.integers(2, q - 1))
+    w = _stochastic_rows(draw, q, cols)
+    assume(not is_singular_channel_matrix(w))
+    r = draw(st.integers(2, q + 1))
+    eps = draw(st.sampled_from((0.0, 1e-7, 1e-3, 1.0)))
+    v = (1.0 - eps) * (w @ _stochastic_rows(draw, cols, r)) + eps * _stochastic_rows(draw, q, r)
+    return Channel(w), Channel(v)
+
+
+@PROPERTY_SETTINGS
+@given(tall_pairs())
+def test_a_tall_w_is_decided_exactly_and_every_witness_reverifies(pair):
+    w, v = pair
+    wm, vm = w.matrix, v.matrix
+    exact = less_noisy_exact(w, v)  # never raises for a W of full column rank
+    degraded = is_degraded(w, v)
+    a = np.linalg.lstsq(wm, vm, rcond=None)[0]
+    if degraded.dominates:
+        assert exact.dominates
+    elif degraded.witness["kind"] == "outside_range":
+        residual = np.abs(vm - wm @ a)[:, degraded.witness["col"]].max()
+        assert degraded.witness["residual"] == pytest.approx(residual, rel=1e-6)
+        assert residual > LP_TOL * max(1.0, np.abs(a).max())
+    else:
+        witness = degraded.witness
+        assert witness["kind"] == "negative_kernel_entry"
+        assert a[witness["row"], witness["col"]] == pytest.approx(witness["value"], rel=1e-6) and witness["value"] < 0
+    if less_noisy_sampled(w, v, samples=20).status is Status.FAILS:
+        assert exact.status is Status.FAILS
+    witness = exact.witness
+    if isinstance(witness, DivergencePairWitness):
+        divergence = {"kl": kl, "chi2": chi2}[witness.divergence]
+        under_w = divergence(Pmf(witness.p @ wm), Pmf(witness.q @ wm))
+        under_v = divergence(Pmf(witness.p @ vm), Pmf(witness.q @ vm))
+        assert under_v > under_w
+    elif witness is not None:
+        assert loewner_gap(w, v, witness.pmf) < 0
+
+
+@st.composite
 def rank_deficient_pairs(draw):
-    """A W the exact test refuses (a repeated or affinely dependent row, tall
-    or wide) and V = (1 - eps) W K + eps N, near W's degraded channels for a
-    small eps and a random channel at eps = 1."""
+    """A W the exact test refuses (a repeated or affinely dependent row, or
+    wide), or a tall W, and V = (1 - eps) W K + eps N, near W's degraded
+    channels for a small eps and a random channel at eps = 1."""
     q = draw(st.integers(3, 6))
     kind = draw(st.sampled_from(("repeated", "affine", "tall", "wide")))
     cols = {"tall": draw(st.integers(1, q - 1)), "wide": q + draw(st.integers(1, 2))}.get(kind, q)
@@ -226,8 +270,7 @@ def test_stacked_vertex_checks_match_the_per_letter_loop(pair):
     w, v = pair
     wm, vm = w.matrix, v.matrix
     status, minima, failed, scales = _per_letter_vertex_checks(wm, vm)
-    _require_invertible(wm)
-    _, stacked, stacked_failed, _ = _vertex_checks(wm, vm[None], range(len(wm)))
+    stacked, stacked_failed, _ = _vertex_checks(wm, vm[None], _kernel(wm, vm[None]), range(len(wm)))
     assert int(stacked_failed[0]) == failed
     checked = len(minima)
     assert np.all(np.abs(stacked[0, :checked] - minima) <= 1e-12 * np.array(scales))
@@ -297,7 +340,7 @@ def test_orbit_reduction_matches_the_per_letter_loop(case):
     symmetric = np.unique(np.diag(vm)).size == 1 and np.unique(off_diagonal).size <= 1
     assert (len(letters) == 1) == (perturbation != "w" and (symmetric or (perturbation == "none" and distinct)))
     status, minima, failed, scales = _per_letter_vertex_checks(wm, vm)
-    _, checked, checked_failed, _ = _vertex_checks(wm, vm[None], letters)
+    checked, checked_failed, _ = _vertex_checks(wm, vm[None], _kernel(wm, vm[None]), letters)
     assert int(checked_failed[0]) == failed
     n = min(len(letters), len(minima))
     assert np.all(np.abs(checked[0, :n] - minima[:n]) <= 1e-12 * np.array(scales[:n]))
@@ -477,9 +520,9 @@ def test_letter_zero_decides_for_a_cyclic_circulant(case):
     q, delta, circulants = case
     w = symmetric_channel(q, delta).matrix
     assert not _symmetric_is_singular(symmetric_eigenvalue(q, delta))
-    _require_invertible(w)
-    letter_zero = _vertex_checks(w, circulants, range(1))[2] < 0
-    every_letter = _vertex_checks(w, circulants, range(q))[2] < 0
+    a = _kernel(w, circulants)
+    letter_zero = _vertex_checks(w, circulants, a, range(1))[1] < 0
+    every_letter = _vertex_checks(w, circulants, a, range(q))[1] < 0
     assert letter_zero.tolist() == every_letter.tolist()
 
 
@@ -517,12 +560,11 @@ def _old_delta_star(v: Channel, tol: float):
 
     def probe(delta):
         wm = symmetric_channel(q, delta).matrix
-        try:
-            _require_invertible(wm)
-        except SingularChannelError:
+        a = _kernel(wm, vm[None])
+        if a is None:
             status = "undetermined"
         else:
-            status = "dominates" if _vertex_checks(wm, vm[None], range(q))[2][0] < 0 else "fails"
+            status = "dominates" if _vertex_checks(wm, vm[None], a, range(q))[1][0] < 0 else "fails"
         probes.append((delta, status))
         return status
 
